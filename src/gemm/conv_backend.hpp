@@ -42,7 +42,7 @@ namespace pf15::gemm {
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
-  kFft = 2,       // spectral: profitable for large kernels, forward-only
+  kFft = 2,       // spectral: profitable for large kernels, square only
   kDirect = 3,    // naive loops: wins when the lowered matrix is tiny
 };
 
@@ -95,8 +95,9 @@ class ConvPrep {
 };
 
 /// A convolution algorithm. Implementations are stateless and immutable
-/// after registration; per-call scratch lives in thread-local storage so
-/// one backend instance can serve a batch-parallel loop.
+/// after registration; per-call scratch is a ScratchLease from the
+/// calling thread's pool (scratch.hpp), so one backend instance can serve
+/// a batch-parallel loop.
 ///
 /// All entry points take `parallel_ok`: it permits internal fan-out on
 /// the global task scheduler. Nested waits are legal on the scheduler
@@ -111,7 +112,8 @@ class ConvBackend {
   const char* name() const { return to_string(kind()); }
 
   /// Whether this algorithm can compute `p` in `phase` (e.g. Winograd is
-  /// 3x3 stride-1 only; FFT declines the backward phases entirely).
+  /// 3x3 stride-1 only; FFT needs a square kernel, stride and pad, and
+  /// then runs every phase).
   virtual bool applicable(const ConvProblem& p,
                           ConvPhase phase = ConvPhase::kForward) const = 0;
 

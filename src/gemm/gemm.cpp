@@ -138,8 +138,7 @@ void sgemm_parallel(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                     float beta, float* c, std::size_t ldc) {
   const std::uint64_t work = flops(m, n, k);
   ThreadPool& pool = ThreadPool::global();
-  // Below ~8 MFLOP the packing + scheduling overhead dominates.
-  if (pool.size() <= 1 || work < (8ull << 20) || m < 2 * MC) {
+  if (pool.size() <= 1 || work < kParallelMinFlops || m < 2 * MC) {
     sgemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }

@@ -32,8 +32,13 @@ void sgemm_at(SimdLevel level, bool trans_a, bool trans_b, std::size_t m,
               std::size_t lda, const float* b, std::size_t ldb, float beta,
               float* c, std::size_t ldc);
 
+/// Below this much work (FLOPs) a fan-out's packing and scheduling
+/// overhead dominates, so parallel paths run the work inline instead.
+inline constexpr std::uint64_t kParallelMinFlops = 8ull << 20;
+
 /// Same contract as sgemm but parallelised over row blocks of C using the
-/// global thread pool. Falls back to the serial path for small problems.
+/// global thread pool. Falls back to the serial path for problems below
+/// kParallelMinFlops.
 void sgemm_parallel(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                     std::size_t k, float alpha, const float* a,
                     std::size_t lda, const float* b, std::size_t ldb,

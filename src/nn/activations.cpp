@@ -6,20 +6,33 @@ namespace pf15::nn {
 
 void ReLU::forward(const Tensor& in, Tensor& out) {
   ensure_shape(out, in.shape());
-  const float* __restrict__ src = in.data();
-  float* __restrict__ dst = out.data();
-  const std::size_t n = in.numel();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+  const float* src = in.data();
+  float* dst = out.data();
+  for_each_grain(in.numel(), kMemoryBoundGrain,
+                 [src, dst](std::size_t lo, std::size_t hi) {
+                   const float* __restrict__ s = src + lo;
+                   float* __restrict__ d = dst + lo;
+                   for (std::size_t i = 0; i < hi - lo; ++i) {
+                     d[i] = s[i] > 0.0f ? s[i] : 0.0f;
+                   }
+                 });
 }
 
 void ReLU::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   PF15_CHECK(dout.shape() == in.shape());
   ensure_shape(din, in.shape());
-  const float* __restrict__ x = in.data();
-  const float* __restrict__ g = dout.data();
-  float* __restrict__ dst = din.data();
-  const std::size_t n = in.numel();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = x[i] > 0.0f ? g[i] : 0.0f;
+  const float* x = in.data();
+  const float* g = dout.data();
+  float* dst = din.data();
+  for_each_grain(in.numel(), kMemoryBoundGrain,
+                 [x, g, dst](std::size_t lo, std::size_t hi) {
+                   const float* __restrict__ xs = x + lo;
+                   const float* __restrict__ gs = g + lo;
+                   float* __restrict__ d = dst + lo;
+                   for (std::size_t i = 0; i < hi - lo; ++i) {
+                     d[i] = xs[i] > 0.0f ? gs[i] : 0.0f;
+                   }
+                 });
 }
 
 void Sigmoid::forward(const Tensor& in, Tensor& out) {

@@ -1,6 +1,9 @@
 #include "nn/conv2d.hpp"
 
-#include "common/thread_pool.hpp"
+#include <algorithm>
+#include <vector>
+
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/winograd.hpp"
 
@@ -34,8 +37,8 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
           .plan(p, phase, parallel_ok, batch)
           .kind;
   }
-  // A forced backend that declines this phase (FFT backward) falls back
-  // to the always-applicable im2col adjoint; the layers' backend query
+  // A forced backend that declines this phase falls back to the
+  // always-applicable im2col adjoint; the layers' backend query
   // methods report the fallback, so it is explicit, never silent.
   if (!gemm::backend(forced).applicable(p, phase)) {
     return gemm::ConvBackendKind::kIm2col;
@@ -54,6 +57,47 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
   const auto cached =
       gemm::ConvPlanCache::global().lookup(p, phase, parallel_ok, batch);
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
+}
+
+std::size_t filter_grad_chunks(std::size_t n_img,
+                               std::uint64_t flops_per_image) {
+  if (n_img * flops_per_image < gemm::kParallelMinFlops) return 1;
+  return std::min(kFilterGradChunks, n_img);
+}
+
+void reduce_filter_grad(
+    std::size_t n_img, std::uint64_t flops_per_image, float* dw,
+    std::size_t dw_size, float* db, std::size_t db_size,
+    const std::function<void(std::size_t img, float* dw, float* db)>&
+        image_grad) {
+  const std::size_t chunks = filter_grad_chunks(n_img, flops_per_image);
+  const auto run_chunk = [&](std::size_t c, float* cdw, float* cdb) {
+    for (std::size_t img = c * n_img / chunks;
+         img < (c + 1) * n_img / chunks; ++img) {
+      image_grad(img, cdw, cdb);
+    }
+  };
+  if (chunks == 1) {
+    run_chunk(0, dw, db);
+    return;
+  }
+  // One zeroed (dW, dbias) partial per chunk after the first, freed when
+  // this returns.
+  const std::size_t stride = dw_size + db_size;
+  std::vector<float> partials((chunks - 1) * stride, 0.0f);
+  TaskScheduler::global().parallel_for(0, chunks, [&](std::size_t c) {
+    if (c == 0) {
+      run_chunk(0, dw, db);
+    } else {
+      float* part = partials.data() + (c - 1) * stride;
+      run_chunk(c, part, part + dw_size);
+    }
+  });
+  for (std::size_t c = 1; c < chunks; ++c) {
+    const float* part = partials.data() + (c - 1) * stride;
+    for (std::size_t i = 0; i < dw_size; ++i) dw[i] += part[i];
+    for (std::size_t i = 0; i < db_size; ++i) db[i] += part[dw_size + i];
+  }
 }
 
 Conv2d::Conv2d(std::string name, const Conv2dConfig& cfg, Rng& rng)
@@ -143,7 +187,7 @@ void Conv2d::forward(const Tensor& in, Tensor& out) {
   // Per-image work (lowering, transforms, per-image GEMM) spreads across
   // the scheduler; each image's backend may fan out further beneath it
   // (nested waits are legal — the outer chunks' wait helps).
-  ThreadPool::global().parallel_for(0, n_img, [&](std::size_t img) {
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     be.forward_prepared(p, prep.get(), in.data() + img * in_img,
                         weight_.data(), bias, out.data() + img * out_img,
                         /*parallel_ok=*/true);
@@ -169,33 +213,36 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   last_backward_data_backend_ = dkind;
   const std::unique_ptr<gemm::ConvPrep> dprep =
       dbe.prepare_backward_data(p, weight_.data());
-  ThreadPool::global().parallel_for(0, n_img, [&](std::size_t img) {
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     dbe.backward_data_prepared(p, dprep.get(),
                                dout.data() + img * out_img,
                                weight_.data(), din.data() + img * in_img,
                                /*parallel_ok=*/true);
   });
 
-  // Filter gradient: accumulates into shared weight_grad_, so the image
-  // loop stays serial and the backend parallelizes internally instead.
+  // Filter gradient: accumulates into the shared weight_grad_, so the
+  // batch splits into fixed image chunks folded in chunk order.
   const gemm::ConvBackendKind fkind =
       backward_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
   last_backward_filter_backend_ = fkind;
   const std::size_t plane = p.geom.lowered_cols();
-  for (std::size_t img = 0; img < n_img; ++img) {
-    const float* dout_img = dout.data() + img * out_img;
-    fbe.backward_filter(p, in.data() + img * in_img, dout_img,
-                        weight_grad_.data(), /*parallel_ok=*/true);
-    if (cfg_.bias) {
-      for (std::size_t oc = 0; oc < p.out_c; ++oc) {
-        double s = 0.0;
-        const float* row = dout_img + oc * plane;
-        for (std::size_t i = 0; i < plane; ++i) s += row[i];
-        bias_grad_.data()[oc] += static_cast<float>(s);
-      }
-    }
-  }
+  reduce_filter_grad(
+      n_img, fbe.flops(p, ConvPhase::kBackwardFilter), weight_grad_.data(),
+      weight_grad_.numel(), bias_grad_.data(), cfg_.bias ? p.out_c : 0,
+      [&](std::size_t img, float* dw, float* db) {
+        const float* dout_img = dout.data() + img * out_img;
+        fbe.backward_filter(p, in.data() + img * in_img, dout_img, dw,
+                            /*parallel_ok=*/true);
+        if (cfg_.bias) {
+          for (std::size_t oc = 0; oc < p.out_c; ++oc) {
+            double s = 0.0;
+            const float* row = dout_img + oc * plane;
+            for (std::size_t i = 0; i < plane; ++i) s += row[i];
+            db[oc] += static_cast<float>(s);
+          }
+        }
+      });
 }
 
 std::vector<Param> Conv2d::params() {

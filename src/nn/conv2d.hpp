@@ -7,12 +7,16 @@
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
 // independently (the cuDNN per-op-phase model), so training inherits the
-// measured backend wins, not just inference. The batch loops fan across
-// the global task scheduler where accumulation allows it, and backends
-// may fan out further beneath each image — nested waits are legal on the
-// scheduler, so parallel_ok is true throughout the hot path.
+// measured backend wins, not just inference. Every batch loop fans across
+// the global task scheduler: forward and backward-data per image, the
+// accumulating filter gradient per fixed image chunk with an ordered
+// fold (reduce_filter_grad). Backends may fan out further beneath each
+// image — nested waits are legal on the scheduler, so parallel_ok is true
+// throughout the hot path.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "gemm/conv_backend.hpp"
@@ -25,7 +29,7 @@ namespace pf15::nn {
 /// gemm::ConvBackend (construction PF15_CHECKs applicability for
 /// Winograd; FFT/direct apply everywhere); kAuto lets the autotune plan
 /// cache pick per (geometry, phase). A forced backend that declines a
-/// backward phase (FFT) falls back to the im2col adjoint there — the
+/// phase falls back to the im2col adjoint there — the
 /// fallback is explicit via backward_backend(), never silent.
 enum class ConvAlgo { kIm2col, kWinograd, kAuto, kFft, kDirect };
 
@@ -42,7 +46,7 @@ struct Conv2dConfig {
 /// The one algo-to-backend resolution policy, shared by every layer that
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
-/// declines it (FFT backward), and kAuto asks the global plan cache —
+/// declines it, and kAuto asks the global plan cache —
 /// tuning on first sight in the given execution mode and batch bucket
 /// (gemm::conv_batch_bucket of the layer's batch dimension).
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
@@ -60,6 +64,29 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            gemm::ConvPhase phase,
                                            bool parallel_ok,
                                            std::size_t batch = 1);
+
+/// Batch split of the filter gradient. A batch whose filter-gradient
+/// work (n_img * flops_per_image) is below gemm::kParallelMinFlops runs as
+/// one chunk; otherwise it splits into min(kFilterGradChunks, n_img)
+/// contiguous chunks, chunk c covering images [c*n/k, (c+1)*n/k). The
+/// count never depends on the scheduler width, so neither do the bits.
+inline constexpr std::size_t kFilterGradChunks = 4;
+std::size_t filter_grad_chunks(std::size_t n_img,
+                               std::uint64_t flops_per_image);
+
+/// Accumulates (+=) a batch's filter gradient into dw (dw_size floats)
+/// and db (db_size floats; 0 when the layer has no bias).
+/// image_grad(img, dw, db) accumulates one image's gradient into the
+/// buffers it is given. The chunks of filter_grad_chunks fan out on the
+/// global task scheduler: chunk 0 accumulates straight into dw/db, image
+/// by image, exactly like a serial loop; chunks 1..k-1 accumulate into
+/// zeroed partials, which are then added into dw/db in chunk order. The
+/// partials are freed before this returns.
+void reduce_filter_grad(
+    std::size_t n_img, std::uint64_t flops_per_image, float* dw,
+    std::size_t dw_size, float* db, std::size_t db_size,
+    const std::function<void(std::size_t img, float* dw, float* db)>&
+        image_grad);
 
 class Conv2d final : public Layer {
  public:
@@ -84,7 +111,7 @@ class Conv2d final : public Layer {
   gemm::ConvBackendKind forward_backend(const Shape& in) const;
   /// The backend `phase` will dispatch to for this input shape: the
   /// forced algo when it supports the phase, the im2col adjoint when it
-  /// declines it (FFT backward), or the plan-cache winner under kAuto.
+  /// declines it, or the plan-cache winner under kAuto.
   gemm::ConvBackendKind backward_backend(const Shape& in,
                                          gemm::ConvPhase phase) const;
   /// The backends the latest forward()/backward() actually dispatched to.

@@ -10,11 +10,14 @@
 // lets a compute group process several micro-batches before one reduction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/task_scheduler.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pf15::nn {
@@ -100,6 +103,26 @@ using LayerPtr = std::unique_ptr<Layer>;
 /// after reallocation).
 inline void ensure_shape(Tensor& t, const Shape& s) {
   if (!t.defined() || t.shape() != s) t = Tensor(s);
+}
+
+/// Floats one task of a memory-bound layer (ReLU, MaxPool) covers: 256
+/// KiB, enough to amortize a spawn.
+inline constexpr std::size_t kMemoryBoundGrain = std::size_t{1} << 16;
+
+/// Runs fn(lo, hi) over [0, n) in fixed grains of `grain` items, fanned
+/// across the global task scheduler. Work of one grain or less runs
+/// inline on the caller and spawns nothing.
+inline void for_each_grain(
+    std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t lo, std::size_t hi)>& fn) {
+  if (n <= grain) {
+    if (n > 0) fn(0, n);
+    return;
+  }
+  TaskScheduler::global().parallel_for(
+      0, (n + grain - 1) / grain, [&](std::size_t t) {
+        fn(t * grain, std::min(n, (t + 1) * grain));
+      });
 }
 
 }  // namespace pf15::nn

@@ -1,5 +1,7 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 
 namespace pf15::nn {
@@ -20,34 +22,42 @@ Shape MaxPool2d::output_shape(const Shape& in) const {
 void MaxPool2d::forward(const Tensor& in, Tensor& out) {
   const Shape os = output_shape(in.shape());
   ensure_shape(out, os);
-  argmax_.assign(out.numel(), 0);
   const std::size_t ih = in.shape().h(), iw = in.shape().w();
   const std::size_t oh = os.h(), ow = os.w();
-  const std::size_t planes = in.shape().n() * in.shape().c();
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float* src = in.data() + p * ih * iw;
-    float* dst = out.data() + p * oh * ow;
-    std::size_t* arg = argmax_.data() + p * oh * ow;
-    for (std::size_t y = 0; y < oh; ++y) {
-      for (std::size_t x = 0; x < ow; ++x) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t ky = 0; ky < kernel_; ++ky) {
-          const std::size_t sy = y * stride_ + ky;
-          for (std::size_t kx = 0; kx < kernel_; ++kx) {
-            const std::size_t sx = x * stride_ + kx;
-            const std::size_t idx = sy * iw + sx;
-            if (src[idx] > best) {
-              best = src[idx];
-              best_idx = idx;
+  const std::size_t in_plane = ih * iw, out_plane = oh * ow;
+  PF15_CHECK_MSG(in_plane <= std::numeric_limits<std::uint32_t>::max(),
+                 name_ << ": input plane too large " << in.shape());
+  argmax_.resize(out.numel());
+  // Planes are independent: fan groups of planes across the scheduler.
+  for_each_grain(
+      in.shape().n() * in.shape().c(),
+      std::max<std::size_t>(1, kMemoryBoundGrain / in_plane),
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          const float* src = in.data() + p * in_plane;
+          float* dst = out.data() + p * out_plane;
+          std::uint32_t* arg = argmax_.data() + p * out_plane;
+          for (std::size_t y = 0; y < oh; ++y) {
+            for (std::size_t x = 0; x < ow; ++x) {
+              float best = -std::numeric_limits<float>::infinity();
+              std::size_t best_idx = 0;
+              for (std::size_t ky = 0; ky < kernel_; ++ky) {
+                const std::size_t sy = y * stride_ + ky;
+                for (std::size_t kx = 0; kx < kernel_; ++kx) {
+                  const std::size_t sx = x * stride_ + kx;
+                  const std::size_t idx = sy * iw + sx;
+                  if (src[idx] > best) {
+                    best = src[idx];
+                    best_idx = idx;
+                  }
+                }
+              }
+              dst[y * ow + x] = best;
+              arg[y * ow + x] = static_cast<std::uint32_t>(best_idx);
             }
           }
         }
-        dst[y * ow + x] = best;
-        arg[y * ow + x] = p * ih * iw + best_idx;
-      }
-    }
-  }
+      });
 }
 
 void MaxPool2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
@@ -55,10 +65,22 @@ void MaxPool2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   PF15_CHECK_MSG(argmax_.size() == dout.numel(),
                  name_ << ": backward without matching forward");
   ensure_shape(din, in.shape());
-  din.zero();
-  for (std::size_t i = 0; i < dout.numel(); ++i) {
-    din.data()[argmax_[i]] += dout.data()[i];
-  }
+  const std::size_t in_plane = in.shape().h() * in.shape().w();
+  const std::size_t out_plane = dout.shape().h() * dout.shape().w();
+  // Each input plane is written from its own output plane only, so the
+  // plane groups write disjoint memory.
+  for_each_grain(
+      in.shape().n() * in.shape().c(),
+      std::max<std::size_t>(1, kMemoryBoundGrain / in_plane),
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          float* dst = din.data() + p * in_plane;
+          const float* g = dout.data() + p * out_plane;
+          const std::uint32_t* arg = argmax_.data() + p * out_plane;
+          std::fill(dst, dst + in_plane, 0.0f);
+          for (std::size_t i = 0; i < out_plane; ++i) dst[arg[i]] += g[i];
+        }
+      });
 }
 
 std::uint64_t MaxPool2d::forward_flops(const Shape& in) const {

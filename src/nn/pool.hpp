@@ -2,6 +2,7 @@
 // pooling (last HEP unit) per §III-A.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,9 +29,9 @@ class MaxPool2d final : public Layer {
   std::string name_;
   std::size_t kernel_;
   std::size_t stride_;
-  // Flat input index of the max element for every output element of the
-  // latest forward() — consumed by backward().
-  std::vector<std::size_t> argmax_;
+  // Offset, within its input plane, of the max element for every output
+  // element of the latest forward() — consumed by backward().
+  std::vector<std::uint32_t> argmax_;
 };
 
 /// Collapses each channel plane to its mean: (N, C, H, W) -> (N, C, 1, 1).

@@ -9,10 +9,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "check_failure.hpp"
@@ -978,7 +980,7 @@ TEST(Conv2dDispatch, BatchParallelForwardMatchesPerImageForward) {
 
 TEST(Conv2dDispatch, BatchParallelBackwardMatchesPerImageBackward) {
   // Same bit-identity requirement for the batch-parallel data-gradient
-  // pass and the serial filter accumulation.
+  // pass. The chunked filter gradient has its own reference below.
   Rng rng(23);
   nn::Conv2d conv("c", conv_config(2, 4, 3, 1, 1, nn::ConvAlgo::kWinograd),
                   rng);
@@ -1006,6 +1008,177 @@ TEST(Conv2dDispatch, BatchParallelBackwardMatchesPerImageBackward) {
           << "image " << img << " element " << i;
     }
   }
+}
+
+// ---- batch-parallel filter gradient ---------------------------------------
+
+struct FilterGrad {
+  std::vector<float> dw, db;
+};
+
+/// The documented filter-gradient reduction, run serially: chunk c of k
+/// covers images [c*n/k, (c+1)*n/k); every chunk accumulates image by
+/// image into its own zeroed buffers, and chunks 1..k-1 fold into chunk 0
+/// in chunk order.
+FilterGrad reference_filter_grad(
+    std::size_t n, std::size_t chunks, std::size_t dw_size,
+    std::size_t db_size,
+    const std::function<void(std::size_t, float*, float*)>& image_grad) {
+  std::vector<FilterGrad> parts(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    parts[c].dw.assign(dw_size, 0.0f);
+    parts[c].db.assign(db_size, 0.0f);
+    for (std::size_t img = c * n / chunks; img < (c + 1) * n / chunks;
+         ++img) {
+      image_grad(img, parts[c].dw.data(), parts[c].db.data());
+    }
+  }
+  for (std::size_t c = 1; c < chunks; ++c) {
+    for (std::size_t i = 0; i < dw_size; ++i) parts[0].dw[i] += parts[c].dw[i];
+    for (std::size_t i = 0; i < db_size; ++i) parts[0].db[i] += parts[c].db[i];
+  }
+  return parts[0];
+}
+
+/// One image's (dW, dbias) through `be`, serially: the bias gradient sums
+/// each channel plane of `bias_src` (the layer's output gradient).
+void serial_image_grad(const gemm::ConvBackend& be, const gemm::ConvProblem& p,
+                       const float* image, const float* dout,
+                       const float* bias_src, std::size_t bias_c,
+                       std::size_t plane, float* dw, float* db) {
+  be.backward_filter(p, image, dout, dw, /*parallel_ok=*/false);
+  for (std::size_t oc = 0; oc < bias_c; ++oc) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < plane; ++i) s += bias_src[oc * plane + i];
+    db[oc] += static_cast<float>(s);
+  }
+}
+
+void expect_bits_equal(const std::vector<float>& want, const Tensor& got,
+                       const char* what) {
+  ASSERT_EQ(want.size(), got.numel()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got.data()[i]) << what << " element " << i;
+  }
+}
+
+/// Runs layer.backward on (batch, dout) from zeroed gradients and returns
+/// copies of (dW, dbias).
+std::pair<Tensor, Tensor> layer_filter_grad(nn::Layer& layer,
+                                            const Tensor& batch,
+                                            const Tensor& dout) {
+  auto params = layer.params();
+  for (auto& prm : params) prm.grad->zero();
+  Tensor din;
+  layer.backward(batch, dout, din);
+  return {params[0].grad->clone(), params[1].grad->clone()};
+}
+
+TEST(FilterGradReduction, Conv2dMatchesChunkedSerialReference) {
+  for (const nn::ConvAlgo algo : {nn::ConvAlgo::kIm2col,
+                                  nn::ConvAlgo::kWinograd,
+                                  nn::ConvAlgo::kDirect}) {
+    for (const std::size_t n : {std::size_t{7}, std::size_t{9}}) {
+      SCOPED_TRACE(::testing::Message() << "algo " << static_cast<int>(algo)
+                                      << " batch " << n);
+      Rng rng(41 + n);
+      nn::Conv2d conv("c", conv_config(16, 16, 3, 1, 1, algo), rng);
+      const gemm::ConvProblem p = make_problem(16, 16, 32, 3, 1, 1);
+      Tensor batch(Shape{n, 16, 32, 32});
+      batch.fill_uniform(rng, -1.0f, 1.0f);
+      Tensor out;
+      conv.forward(batch, out);
+      Tensor dout(out.shape());
+      dout.fill_uniform(rng, -1.0f, 1.0f);
+
+      const gemm::ConvBackend& be = gemm::backend(
+          conv.backward_backend(batch.shape(), ConvPhase::kBackwardFilter));
+      const std::size_t chunks =
+          nn::filter_grad_chunks(n, be.flops(p, ConvPhase::kBackwardFilter));
+      ASSERT_EQ(chunks, nn::kFilterGradChunks) << "below the fan-out cutoff";
+      const std::size_t in_img = 16 * 32 * 32;
+      const std::size_t out_img = out.numel() / n;
+      const FilterGrad want = reference_filter_grad(
+          n, chunks, conv.weight().numel(), 16,
+          [&](std::size_t img, float* dw, float* db) {
+            serial_image_grad(be, p, batch.data() + img * in_img,
+                              dout.data() + img * out_img,
+                              dout.data() + img * out_img, 16,
+                              p.geom.lowered_cols(), dw, db);
+          });
+
+      const auto [dw1, db1] = layer_filter_grad(conv, batch, dout);
+      expect_bits_equal(want.dw, dw1, "dW");
+      expect_bits_equal(want.db, db1, "dbias");
+      // A second run of the same batch gives the same bits.
+      const auto [dw2, db2] = layer_filter_grad(conv, batch, dout);
+      expect_bits_equal(want.dw, dw2, "dW rerun");
+      expect_bits_equal(want.db, db2, "dbias rerun");
+    }
+  }
+}
+
+TEST(FilterGradReduction, Deconv2dMatchesChunkedSerialReference) {
+  for (const nn::ConvAlgo algo :
+       {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect}) {
+    for (const std::size_t n : {std::size_t{7}, std::size_t{9}}) {
+      SCOPED_TRACE(::testing::Message() << "algo " << static_cast<int>(algo)
+                                      << " batch " << n);
+      Rng rng(43 + n);
+      nn::Deconv2dConfig cfg;
+      cfg.in_channels = 16;
+      cfg.out_channels = 16;
+      cfg.kernel = 4;
+      cfg.stride = 2;
+      cfg.pad = 1;
+      cfg.bias = true;
+      cfg.algo = algo;
+      nn::Deconv2d deconv("d", cfg, rng);
+      // The underlying conv maps the 40x40 deconv output onto its 20x20
+      // input.
+      const gemm::ConvProblem p = make_problem(16, 16, 40, 4, 2, 1);
+      Tensor batch(Shape{n, 16, 20, 20});
+      batch.fill_uniform(rng, -1.0f, 1.0f);
+      Tensor out;
+      deconv.forward(batch, out);
+      Tensor dout(out.shape());
+      dout.fill_uniform(rng, -1.0f, 1.0f);
+
+      const gemm::ConvBackend& be = gemm::backend(
+          deconv.phase_backend(batch.shape(), ConvPhase::kBackwardFilter));
+      const std::size_t chunks =
+          nn::filter_grad_chunks(n, be.flops(p, ConvPhase::kBackwardFilter));
+      ASSERT_EQ(chunks, nn::kFilterGradChunks) << "below the fan-out cutoff";
+      const std::size_t in_img = 16 * 20 * 20;
+      const std::size_t out_img = out.numel() / n;
+      const FilterGrad want = reference_filter_grad(
+          n, chunks, 16 * 16 * 4 * 4, 16,
+          [&](std::size_t img, float* dw, float* db) {
+            // The conv's (image, dout) is (deconv dout, deconv input).
+            serial_image_grad(be, p, dout.data() + img * out_img,
+                              batch.data() + img * in_img,
+                              dout.data() + img * out_img, 16, 40 * 40, dw,
+                              db);
+          });
+
+      const auto [dw1, db1] = layer_filter_grad(deconv, batch, dout);
+      expect_bits_equal(want.dw, dw1, "dW");
+      expect_bits_equal(want.db, db1, "dbias");
+      const auto [dw2, db2] = layer_filter_grad(deconv, batch, dout);
+      expect_bits_equal(want.dw, dw2, "dW rerun");
+      expect_bits_equal(want.db, db2, "dbias rerun");
+    }
+  }
+}
+
+TEST(FilterGradReduction, SmallBatchWorkRunsAsOneChunk) {
+  // Below gemm::kParallelMinFlops the reduction is the plain serial loop.
+  EXPECT_EQ(nn::filter_grad_chunks(16, gemm::kParallelMinFlops / 16 - 1),
+            1u);
+  EXPECT_EQ(nn::filter_grad_chunks(16, gemm::kParallelMinFlops / 16),
+            nn::kFilterGradChunks);
+  // Never more chunks than images.
+  EXPECT_EQ(nn::filter_grad_chunks(2, gemm::kParallelMinFlops), 2u);
 }
 
 // ---- gradient checks through the dispatched backward -----------------------

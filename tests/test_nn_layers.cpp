@@ -4,8 +4,12 @@
 
 #include "check_failure.hpp"
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <utility>
 
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gradient_check.hpp"
 #include "nn/activations.hpp"
@@ -87,18 +91,30 @@ TEST(Conv2d, GradientCheckStridedNoBias) {
 }
 
 TEST(Conv2d, GradientsAccumulateAcrossCalls) {
+  // Batch 8 clears the filter-gradient fan-out cutoff, so the second call
+  // accumulates chunk 0 straight onto the first call's gradient and folds
+  // the later chunks' partials on top.
   Rng rng(2);
-  Conv2d conv("c", {1, 1, 3, 1, 1, true}, rng);
-  Tensor in = random_input(Shape{1, 1, 4, 4});
+  Conv2d conv("c", {8, 16, 3, 1, 1, true}, rng);
+  Tensor in = random_input(Shape{8, 8, 24, 24});
+  // im2col backward-filter: 2 * OC * (IC*K*K) * (OH*OW) FLOPs per image.
+  ASSERT_GT(filter_grad_chunks(8, 2ull * 16 * (8 * 9) * (24 * 24)), 1u);
   Tensor out, dout(conv.output_shape(in.shape())), din;
   dout.fill(1.0f);
   conv.forward(in, out);
   conv.backward(in, dout, din);
   const Tensor g1 = conv.params()[0].grad->clone();
+  const Tensor b1 = conv.params()[1].grad->clone();
   conv.backward(in, dout, din);
   const Tensor g2 = conv.params()[0].grad->clone();
+  const Tensor b2 = conv.params()[1].grad->clone();
   for (std::size_t i = 0; i < g1.numel(); ++i) {
-    EXPECT_NEAR(g2.at(i), 2.0f * g1.at(i), 1e-4f);
+    EXPECT_NEAR(g2.at(i), 2.0f * g1.at(i),
+                1e-4f + 1e-5f * std::abs(g1.at(i)));
+  }
+  for (std::size_t i = 0; i < b1.numel(); ++i) {
+    EXPECT_NEAR(b2.at(i), 2.0f * b1.at(i),
+                1e-4f + 1e-5f * std::abs(b1.at(i)));
   }
 }
 
@@ -212,6 +228,74 @@ TEST(MaxPool2d, GradientCheck) {
   check_layer_gradients(pool, in);
 }
 
+// The batch-parallel MaxPool must match this serial loop bit for bit:
+// first strict maximum in tap order, and a backward that scatters each
+// output gradient onto its argmax in output order.
+void serial_maxpool(const Tensor& in, std::size_t k, std::size_t stride,
+                    const Tensor& dout, Tensor& out, Tensor& din) {
+  const std::size_t planes = in.shape().n() * in.shape().c();
+  const std::size_t ih = in.shape().h(), iw = in.shape().w();
+  const std::size_t oh = (ih - k) / stride + 1, ow = (iw - k) / stride + 1;
+  out = Tensor(Shape{in.shape().n(), in.shape().c(), oh, ow});
+  din = Tensor(in.shape());
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t arg = 0;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+          for (std::size_t kx = 0; kx < k; ++kx) {
+            const std::size_t idx =
+                p * ih * iw + (y * stride + ky) * iw + x * stride + kx;
+            if (in.at(idx) > best) {
+              best = in.at(idx);
+              arg = idx;
+            }
+          }
+        }
+        const std::size_t o = (p * oh + y) * ow + x;
+        out.at(o) = best;
+        din.at(arg) += dout.at(o);
+      }
+    }
+  }
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const char* what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (std::size_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(want.at(i), got.at(i)) << what << " element " << i;
+  }
+}
+
+// One shape above the fan-out grain (the HEP conv1 activation at batch
+// 16) and one below it.
+const Shape kMemoryBoundShapes[] = {Shape{16, 64, 64, 64},
+                                    Shape{2, 8, 32, 32}};
+
+TEST(MaxPool2d, BatchParallelMatchesSerialLoop) {
+  // 2/2 is the HEP pool; 3/2 overlaps windows, so one input element can
+  // collect several output gradients.
+  for (const auto& [k, stride] : {std::pair<std::size_t, std::size_t>{2, 2},
+                                  std::pair<std::size_t, std::size_t>{3, 2}}) {
+    for (const Shape& shape : kMemoryBoundShapes) {
+      SCOPED_TRACE(::testing::Message() << shape << " k" << k << " s"
+                                        << stride);
+      MaxPool2d pool("p", k, stride);
+      const Tensor in = random_input(shape, 5);
+      const Tensor dout = random_input(pool.output_shape(shape), 6);
+      Tensor want_out, want_din;
+      serial_maxpool(in, k, stride, dout, want_out, want_din);
+      Tensor out, din;
+      pool.forward(in, out);
+      pool.backward(in, dout, din);
+      expect_same_bits(want_out, out, "forward");
+      expect_same_bits(want_din, din, "backward");
+    }
+  }
+}
+
 TEST(GlobalAvgPool, AveragesPlanes) {
   GlobalAvgPool gap("g");
   Tensor in(Shape{1, 2, 2, 2});
@@ -259,6 +343,41 @@ TEST(ReLU, GradientCheck) {
     in.at(i) = v;
   }
   check_layer_gradients(relu, in);
+}
+
+TEST(ReLU, BatchParallelMatchesSerialLoop) {
+  for (const Shape& shape : kMemoryBoundShapes) {
+    SCOPED_TRACE(::testing::Message() << shape);
+    ReLU relu("r");
+    const Tensor in = random_input(shape, 7);
+    const Tensor dout = random_input(shape, 8);
+    Tensor want_out(shape), want_din(shape);
+    for (std::size_t i = 0; i < in.numel(); ++i) {
+      want_out.at(i) = in.at(i) > 0.0f ? in.at(i) : 0.0f;
+      want_din.at(i) = in.at(i) > 0.0f ? dout.at(i) : 0.0f;
+    }
+    Tensor out, din;
+    relu.forward(in, out);
+    relu.backward(in, dout, din);
+    expect_same_bits(want_out, out, "forward");
+    expect_same_bits(want_din, din, "backward");
+  }
+}
+
+TEST(MemoryBoundLayers, BelowOneGrainSpawnNoTasks) {
+  // The tiny hybrid-training net's activations stay inline.
+  const Shape shape{2, 8, 32, 32};
+  ASSERT_LE(shape.numel(), kMemoryBoundGrain);
+  const Tensor in = random_input(shape);
+  Tensor out, din, pooled, pool_din;
+  ReLU relu("r");
+  MaxPool2d pool("p", 2, 2);
+  const std::uint64_t before = TaskScheduler::global().stats().spawned;
+  relu.forward(in, out);
+  relu.backward(in, in, din);
+  pool.forward(in, pooled);
+  pool.backward(in, pooled, pool_din);
+  EXPECT_EQ(TaskScheduler::global().stats().spawned, before);
 }
 
 TEST(Sigmoid, KnownValues) {
