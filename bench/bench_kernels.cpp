@@ -37,7 +37,7 @@ BENCHMARK(BM_SgemmSquare)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // Scalar-vs-SIMD A/B of the same packed GEMM through sgemm_at: range(0)
 // is the square size, range(1) the gemm::SimdLevel. A tier absent on the
-// running machine (AVX2 on a scalar-only box) is skipped, not faked.
+// running machine (AVX-512 on an AVX2 box) is skipped, not faked.
 void BM_SgemmAtLevel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto level = static_cast<gemm::SimdLevel>(state.range(1));
@@ -62,7 +62,8 @@ void BM_SgemmAtLevel(benchmark::State& state) {
 BENCHMARK(BM_SgemmAtLevel)
     ->ArgsProduct({{256, 512, 1024},
                    {static_cast<long>(gemm::SimdLevel::kScalar),
-                    static_cast<long>(gemm::SimdLevel::kAvx2)}});
+                    static_cast<long>(gemm::SimdLevel::kAvx2),
+                    static_cast<long>(gemm::SimdLevel::kAvx512)}});
 
 // Tall-skinny GEMM: the conv-as-GEMM shape with minibatch-like N
 // (DeepBench's problem class).

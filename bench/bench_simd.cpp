@@ -1,13 +1,16 @@
-// Scalar-vs-AVX2 GEMM race and the SIMD acceptance gates.
+// Scalar-vs-AVX2-vs-AVX-512 GEMM race and the SIMD acceptance gates.
 //
 // Three modes, all exercised by scripts/verify.sh:
-//   (default)          A/B sweep of sgemm_at over both kernel tiers with
-//                      GFLOP/s per shape; --json PATH records it.
-//   --gate             the perf acceptance: on AVX2 hardware the SIMD
-//                      tier must beat scalar by >= 1.2x on the large
-//                      (1024-class) shapes, else exit 12. Without AVX2
-//                      the gate self-skips LOUDLY and exits 0 — a scalar
-//                      machine cannot prove or disprove the speedup.
+//   (default)          A/B sweep of sgemm_at over every detected kernel
+//                      tier with GFLOP/s per shape; --json PATH records
+//                      it.
+//   --gate             the perf acceptance, on the large (1024-class)
+//                      shapes: on AVX2 hardware the AVX2 tier must beat
+//                      scalar by >= 1.2x, and on AVX-512 hardware the
+//                      AVX-512 tier must beat AVX2 by >= 1.2x, else exit
+//                      12. Without AVX2 the gate self-skips LOUDLY and
+//                      exits 0 — a scalar machine cannot prove or
+//                      disprove the speedup.
 //   --check-bitexact   the compatibility acceptance: under PF15_SIMD=off
 //                      the library sgemm must reproduce the pre-dispatch
 //                      implementation BIT FOR BIT. The reference here is
@@ -16,11 +19,12 @@
 //                      any drift in the scalar tier — reordered
 //                      accumulation, sneaky FMA contraction — exits 12.
 //   --expect-level=L   asserts the runtime dispatch resolved to L
-//                      ("scalar"/"avx2"); exit 12 otherwise. verify.sh
-//                      uses it to prove PF15_SIMD=off really downshifts.
+//                      ("scalar"/"avx2"/"avx512"); exit 12 otherwise.
+//                      verify.sh uses it to prove PF15_SIMD=off and
+//                      PF15_SIMD=avx2 really downshift.
 //
 // Usage: bench_simd [--json PATH] [--reps N] [--gate] [--check-bitexact]
-//                   [--expect-level=scalar|avx2]
+//                   [--expect-level=scalar|avx2|avx512]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -335,7 +339,7 @@ int main(int argc, char** argv) {
     return 0;  // pure check invocation: skip the timing sweep
   }
 
-  if (gate && detected != SimdLevel::kAvx2) {
+  if (gate && detected < SimdLevel::kAvx2) {
     std::printf(
         "bench_simd: ============================================\n"
         "bench_simd: SIMD GATE SKIPPED: no AVX2+FMA on this CPU.\n"
@@ -346,10 +350,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  perf::Table table(
-      {"shape", "m", "n", "k", "scalar GFLOP/s", "avx2 GFLOP/s", "speedup"});
+  const bool has_avx2 = detected >= SimdLevel::kAvx2;
+  const bool has_avx512 = detected >= SimdLevel::kAvx512;
+  perf::Table table({"shape", "m", "n", "k", "scalar GFLOP/s",
+                     "avx2 GFLOP/s", "avx512 GFLOP/s", "avx2/scalar",
+                     "avx512/avx2"});
   perf::Json rows = perf::Json::array();
-  double worst_large_speedup = 1e30;
+  // Worst large-shape speedup of AVX2 over scalar and AVX-512 over AVX2.
+  double worst_avx2 = 1e30;
+  double worst_avx512 = 1e30;
   bool any_large = false;
   for (const Shape& s : shapes()) {
     const std::vector<float> a = random_vec(s.m * s.k, 11 + s.m);
@@ -357,20 +366,26 @@ int main(int argc, char** argv) {
     std::vector<float> c(s.m * s.n, 0.0f);
     const double gflop = 2.0 * double(s.m) * double(s.n) * double(s.k) / 1e9;
     const double scalar_s = time_level(SimdLevel::kScalar, s, reps, a, b, c);
-    double avx2_s = 0.0;
-    double speedup = 0.0;
-    if (detected == SimdLevel::kAvx2) {
-      avx2_s = time_level(SimdLevel::kAvx2, s, reps, a, b, c);
-      speedup = scalar_s / avx2_s;
-      if (s.large) {
-        any_large = true;
-        worst_large_speedup = std::min(worst_large_speedup, speedup);
-      }
+    const double avx2_s =
+        has_avx2 ? time_level(SimdLevel::kAvx2, s, reps, a, b, c) : 0.0;
+    const double avx512_s =
+        has_avx512 ? time_level(SimdLevel::kAvx512, s, reps, a, b, c) : 0.0;
+    const double avx2_speedup = has_avx2 ? scalar_s / avx2_s : 0.0;
+    const double avx512_speedup = has_avx512 ? avx2_s / avx512_s : 0.0;
+    if (s.large && has_avx2) {
+      any_large = true;
+      worst_avx2 = std::min(worst_avx2, avx2_speedup);
+      if (has_avx512) worst_avx512 = std::min(worst_avx512, avx512_speedup);
     }
+    const auto cell = [](bool present, double v) {
+      return present ? perf::Table::num(v, 2) : std::string("-");
+    };
     table.add_row({s.name, std::to_string(s.m), std::to_string(s.n),
                    std::to_string(s.k), perf::Table::num(gflop / scalar_s, 2),
-                   avx2_s > 0.0 ? perf::Table::num(gflop / avx2_s, 2) : "-",
-                   avx2_s > 0.0 ? perf::Table::num(speedup, 2) : "-"});
+                   cell(has_avx2, gflop / avx2_s),
+                   cell(has_avx512, gflop / avx512_s),
+                   cell(has_avx2, avx2_speedup),
+                   cell(has_avx512, avx512_speedup)});
     perf::Json row = perf::Json::object();
     row.set("shape", s.name);
     row.set("m", s.m);
@@ -378,9 +393,13 @@ int main(int argc, char** argv) {
     row.set("k", s.k);
     row.set("gate_shape", s.large);
     row.set("scalar_gflops", gflop / scalar_s);
-    if (avx2_s > 0.0) {
+    if (has_avx2) {
       row.set("avx2_gflops", gflop / avx2_s);
-      row.set("speedup", speedup);
+      row.set("speedup", avx2_speedup);
+    }
+    if (has_avx512) {
+      row.set("avx512_gflops", gflop / avx512_s);
+      row.set("avx512_speedup_over_avx2", avx512_speedup);
     }
     rows.push_back(std::move(row));
   }
@@ -403,16 +422,28 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_simd: gate ran but no large shapes?\n");
       return kExitSimdGate;
     }
-    if (worst_large_speedup < 1.2) {
+    if (worst_avx2 < 1.2) {
       std::fprintf(stderr,
-                   "bench_simd: SIMD GATE FAILED: worst 1024-class "
-                   "speedup %.2fx < 1.2x\n",
-                   worst_large_speedup);
+                   "bench_simd: SIMD GATE FAILED: worst 1024-class AVX2 "
+                   "speedup over scalar %.2fx < 1.2x\n",
+                   worst_avx2);
       return kExitSimdGate;
     }
-    std::printf("bench_simd: SIMD gate passed: worst 1024-class speedup "
-                "%.2fx >= 1.2x\n",
-                worst_large_speedup);
+    std::printf("bench_simd: SIMD gate passed: worst 1024-class AVX2 "
+                "speedup over scalar %.2fx >= 1.2x\n",
+                worst_avx2);
+    if (has_avx512) {
+      if (worst_avx512 < 1.2) {
+        std::fprintf(stderr,
+                     "bench_simd: SIMD GATE FAILED: worst 1024-class "
+                     "AVX-512 speedup over AVX2 %.2fx < 1.2x\n",
+                     worst_avx512);
+        return kExitSimdGate;
+      }
+      std::printf("bench_simd: SIMD gate passed: worst 1024-class AVX-512 "
+                  "speedup over AVX2 %.2fx >= 1.2x\n",
+                  worst_avx512);
+    }
   }
   return 0;
 }

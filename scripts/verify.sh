@@ -32,10 +32,11 @@
 # 10 work-stealing scheduler speedup regression (wide-level models at
 # 4 workers below 1.5x over 1 worker on a >=4-core machine),
 # 11 scaling observability gate failure (see bench/scaling_common.hpp),
-# 12 SIMD kernel gate failure (bench_simd: AVX2 below 1.2x over scalar
-# on the 1024-class shapes, PF15_SIMD=off not reaching the scalar tier,
-# or the scalar tier drifting from the pre-dispatch GEMM bit pattern;
-# self-skips loudly on non-AVX2 machines).
+# 12 SIMD kernel gate failure (bench_simd: AVX2 below 1.2x over scalar,
+# or AVX-512 below 1.2x over AVX2, on the 1024-class shapes;
+# PF15_SIMD=off not reaching the scalar tier or PF15_SIMD=avx2 not
+# reaching the AVX2 tier; or the scalar tier drifting from the
+# pre-dispatch GEMM bit pattern; self-skips loudly on non-AVX2 machines).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -119,17 +120,24 @@ cmake -B build -S . -DPF15_WERROR=ON
 cmake --build build -j"$jobs"
 (cd build && ctest --output-on-failure -j"$jobs")
 
-# SIMD kernel gate (exit 12), three assertions in two processes:
-#   1. the runtime-dispatched AVX2 tier beats the scalar tier >= 1.2x on
-#      the 1024-class GEMM shapes (skips loudly, exit 0, without AVX2);
+# SIMD kernel gate (exit 12), four assertions in three processes:
+#   1. on the 1024-class GEMM shapes the AVX2 tier beats the scalar tier
+#      >= 1.2x, and on AVX-512 hardware the AVX-512 tier beats AVX2
+#      >= 1.2x (skips loudly, exit 0, without AVX2);
 #   2. PF15_SIMD=off really resolves the dispatch to the scalar tier;
 #   3. that scalar tier reproduces the pre-dispatch packed GEMM bit for
-#      bit (the --check-bitexact frozen replica inside bench_simd).
+#      bit (the --check-bitexact frozen replica inside bench_simd);
+#   4. PF15_SIMD=avx2 pins the AVX2 tier, so it stays exercised on
+#      AVX-512 machines (skipped where the default dispatch is scalar).
 # The sweep ships BENCH_simd.json so the GFLOP/s trajectory is diffable.
 ./build/bench_simd --gate --json BENCH_simd.json \
     || { echo "FAIL: SIMD kernel gate (see bench_simd output above)" >&2; exit 12; }
 PF15_SIMD=off ./build/bench_simd --expect-level=scalar --check-bitexact \
     || { echo "FAIL: PF15_SIMD=off compatibility gate" >&2; exit 12; }
+if ! env -u PF15_SIMD ./build/bench_simd --expect-level=scalar >/dev/null 2>&1; then
+  PF15_SIMD=avx2 ./build/bench_simd --expect-level=avx2 \
+      || { echo "FAIL: PF15_SIMD=avx2 dispatch gate" >&2; exit 12; }
+fi
 echo "SIMD kernel gate passed: dispatch, speedup and scalar bit-exactness verified"
 
 # Perf record, not a gate: exit 1 means the timing-dependent acceptance

@@ -740,8 +740,9 @@ constexpr const char* kCacheFormat = "pf15.conv_plan_cache";
 /// Hardware signature stored in the cache header: plans are timings, so a
 /// file tuned on a different machine shape must not silently win here.
 /// The active SIMD tier is part of the shape — an AVX2-tuned file names
-/// winners that a scalar-only host (or a PF15_SIMD=off run) would pick
-/// differently, and vice versa, so a mismatch re-tunes from scratch.
+/// winners that a scalar-only host (or a PF15_SIMD=off run) or an
+/// AVX-512 host would pick differently, and vice versa, so a mismatch
+/// re-tunes from scratch.
 perf::Json hardware_signature() {
   perf::Json hw = perf::Json::object();
   hw.set("threads",

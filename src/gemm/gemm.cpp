@@ -25,43 +25,61 @@ constexpr std::size_t NC = 2048;
 
 std::atomic<std::uint64_t> g_flops{0};
 
+// Writes one finished mr x nr tile (row stride NR in `acc`) into C.
+// `first_k_block` selects beta-handling: the first K block applies beta,
+// later ones accumulate.
+void store_tile(const float* acc, std::size_t mr, std::size_t nr,
+                float alpha, float beta, bool first_k_block, float* cblk,
+                std::size_t ldc) {
+  if (first_k_block) {
+    if (beta == 0.0f) {
+      for (std::size_t i = 0; i < mr; ++i) {
+        for (std::size_t j = 0; j < nr; ++j) {
+          cblk[i * ldc + j] = alpha * acc[i * NR + j];
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < mr; ++i) {
+        for (std::size_t j = 0; j < nr; ++j) {
+          cblk[i * ldc + j] =
+              beta * cblk[i * ldc + j] + alpha * acc[i * NR + j];
+        }
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < mr; ++i) {
+      for (std::size_t j = 0; j < nr; ++j) {
+        cblk[i * ldc + j] += alpha * acc[i * NR + j];
+      }
+    }
+  }
+}
+
 // Computes one mc x nc block of C from packed panels through the given
-// kernel table. `first_k_block` selects beta-handling: the first K block
-// applies beta, later ones accumulate.
+// kernel table. Tiers with a pair kernel take two adjacent B panels per
+// call; an odd last panel (and every panel of the other tiers) goes
+// through the single-panel kernel.
 void macro_block(const GemmKernels& ker, std::size_t mc, std::size_t nc,
                  std::size_t kc, float alpha, const float* packed_a,
                  const float* packed_b, float beta, bool first_k_block,
                  float* c, std::size_t ldc) {
-  for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-    const std::size_t nr = std::min(NR, nc - j0);
+  std::size_t tiles = 1;
+  for (std::size_t j0 = 0; j0 < nc; j0 += tiles * NR) {
+    tiles = (ker.microkernel_pair != nullptr && nc - j0 > NR) ? 2 : 1;
     const float* pb = packed_b + (j0 / NR) * (kc * NR);
     for (std::size_t i0 = 0; i0 < mc; i0 += MR) {
       const std::size_t mr = std::min(MR, mc - i0);
       const float* pa = packed_a + (i0 / MR) * (kc * MR);
-      alignas(kCacheLineBytes) float acc[MR * NR] = {};
-      ker.microkernel(kc, pa, pb, acc);
-      float* cblk = c + i0 * ldc + j0;
-      if (first_k_block) {
-        if (beta == 0.0f) {
-          for (std::size_t i = 0; i < mr; ++i) {
-            for (std::size_t j = 0; j < nr; ++j) {
-              cblk[i * ldc + j] = alpha * acc[i * NR + j];
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < mr; ++i) {
-            for (std::size_t j = 0; j < nr; ++j) {
-              cblk[i * ldc + j] =
-                  beta * cblk[i * ldc + j] + alpha * acc[i * NR + j];
-            }
-          }
-        }
+      alignas(kCacheLineBytes) float acc[2 * MR * NR] = {};
+      if (tiles == 2) {
+        ker.microkernel_pair(kc, pa, pb, acc);
       } else {
-        for (std::size_t i = 0; i < mr; ++i) {
-          for (std::size_t j = 0; j < nr; ++j) {
-            cblk[i * ldc + j] += alpha * acc[i * NR + j];
-          }
-        }
+        ker.microkernel(kc, pa, pb, acc);
+      }
+      for (std::size_t t = 0; t < tiles; ++t) {
+        const std::size_t jt = j0 + t * NR;
+        store_tile(acc + t * MR * NR, mr, std::min(NR, nc - jt), alpha, beta,
+                   first_k_block, c + i0 * ldc + jt, ldc);
       }
     }
   }

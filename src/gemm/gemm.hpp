@@ -17,8 +17,10 @@ namespace pf15::gemm {
 
 /// C (MxN) = alpha * op(A) (MxK) * op(B) (KxN) + beta * C.
 /// Row-major storage with explicit leading dimensions. Runs through the
-/// runtime-dispatched kernel tier (simd.hpp): AVX2+FMA where the cpuid
-/// probe confirms it, the scalar tier otherwise or under PF15_SIMD=off.
+/// runtime-dispatched kernel tier (simd.hpp): the highest of AVX-512F
+/// and AVX2+FMA that the cpuid probe confirms, the scalar tier otherwise;
+/// PF15_SIMD can pin a lower tier. AVX-512 and AVX2 results are
+/// bit-identical.
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,

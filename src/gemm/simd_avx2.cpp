@@ -101,6 +101,7 @@ bool avx2_kernels_compiled() { return true; }
 const GemmKernels& avx2_gemm_kernels() {
   static const GemmKernels table = {
       &avx2_microkernel,
+      nullptr,
       &generic_pack_a,  // auto-vectorized under this TU's -mavx2
       &generic_pack_b,
       SimdLevel::kAvx2,
@@ -127,6 +128,7 @@ bool avx2_kernels_compiled() { return false; }
 const GemmKernels& avx2_gemm_kernels() {
   static const GemmKernels table = {
       &generic_microkernel,
+      nullptr,
       &generic_pack_a,
       &generic_pack_b,
       SimdLevel::kScalar,

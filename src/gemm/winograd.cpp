@@ -39,8 +39,9 @@ namespace {
 // layout: element (pos, lane) lives at [pos * kWinoBlock + lane]. The
 // block-transform arithmetic itself lives behind the runtime SIMD
 // dispatch (simd.hpp): the AVX2 tier's build vectorizes each unit-stride
-// lane loop into ymm fused multiply-adds, the scalar tier keeps portable
-// codegen. BlockFns<M> maps the tile size to its table entries.
+// lane loop into ymm fused multiply-adds (the AVX-512 tier reuses those
+// blocks), the scalar tier keeps portable codegen. BlockFns<M> maps the
+// tile size to its table entries.
 constexpr std::size_t kWinoBlock = kWinoBlockLanes;
 
 template <int M>

@@ -29,8 +29,11 @@ void ReLU::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
                    const float* __restrict__ xs = x + lo;
                    const float* __restrict__ gs = g + lo;
                    float* __restrict__ d = dst + lo;
+                   // g is loaded unconditionally so the select
+                   // vectorizes instead of branching on the sign of x.
                    for (std::size_t i = 0; i < hi - lo; ++i) {
-                     d[i] = xs[i] > 0.0f ? gs[i] : 0.0f;
+                     const float gv = gs[i];
+                     d[i] = xs[i] > 0.0f ? gv : 0.0f;
                    }
                  });
 }

@@ -39,21 +39,23 @@ void MaxPool2d::forward(const Tensor& in, Tensor& out) {
           std::uint32_t* arg = argmax_.data() + p * out_plane;
           for (std::size_t y = 0; y < oh; ++y) {
             for (std::size_t x = 0; x < ow; ++x) {
+              // Selects instead of a data-dependent branch. The strict >
+              // keeps the first maximum on ties and skips NaNs.
               float best = -std::numeric_limits<float>::infinity();
-              std::size_t best_idx = 0;
+              std::uint32_t best_idx = 0;
               for (std::size_t ky = 0; ky < kernel_; ++ky) {
                 const std::size_t sy = y * stride_ + ky;
                 for (std::size_t kx = 0; kx < kernel_; ++kx) {
                   const std::size_t sx = x * stride_ + kx;
-                  const std::size_t idx = sy * iw + sx;
-                  if (src[idx] > best) {
-                    best = src[idx];
-                    best_idx = idx;
-                  }
+                  const auto idx = static_cast<std::uint32_t>(sy * iw + sx);
+                  const float v = src[idx];
+                  const bool take = v > best;
+                  best = take ? v : best;
+                  best_idx = take ? idx : best_idx;
                 }
               }
               dst[y * ow + x] = best;
-              arg[y * ow + x] = static_cast<std::uint32_t>(best_idx);
+              arg[y * ow + x] = best_idx;
             }
           }
         }

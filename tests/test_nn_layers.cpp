@@ -4,7 +4,9 @@
 
 #include "check_failure.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -229,8 +231,10 @@ TEST(MaxPool2d, GradientCheck) {
 }
 
 // The batch-parallel MaxPool must match this serial loop bit for bit:
-// first strict maximum in tap order, and a backward that scatters each
-// output gradient onto its argmax in output order.
+// first strict maximum in tap order, so ties keep the first and NaN never
+// wins (a window with nothing above -inf keeps offset 0 of its plane),
+// and a backward that scatters each output gradient onto its argmax in
+// output order.
 void serial_maxpool(const Tensor& in, std::size_t k, std::size_t stride,
                     const Tensor& dout, Tensor& out, Tensor& din) {
   const std::size_t planes = in.shape().n() * in.shape().c();
@@ -239,34 +243,54 @@ void serial_maxpool(const Tensor& in, std::size_t k, std::size_t stride,
   out = Tensor(Shape{in.shape().n(), in.shape().c(), oh, ow});
   din = Tensor(in.shape());
   for (std::size_t p = 0; p < planes; ++p) {
+    const float* src = in.data() + p * ih * iw;
     for (std::size_t y = 0; y < oh; ++y) {
       for (std::size_t x = 0; x < ow; ++x) {
         float best = -std::numeric_limits<float>::infinity();
         std::size_t arg = 0;
         for (std::size_t ky = 0; ky < k; ++ky) {
           for (std::size_t kx = 0; kx < k; ++kx) {
-            const std::size_t idx =
-                p * ih * iw + (y * stride + ky) * iw + x * stride + kx;
-            if (in.at(idx) > best) {
-              best = in.at(idx);
+            const std::size_t idx = (y * stride + ky) * iw + x * stride + kx;
+            if (src[idx] > best) {
+              best = src[idx];
               arg = idx;
             }
           }
         }
         const std::size_t o = (p * oh + y) * ow + x;
         out.at(o) = best;
-        din.at(arg) += dout.at(o);
+        din.at(p * ih * iw + arg) += dout.at(o);
       }
     }
   }
 }
 
+// Bitwise, so -0.0 differs from 0.0 and a NaN matches the same NaN.
 void expect_same_bits(const Tensor& want, const Tensor& got,
                       const char* what) {
   ASSERT_EQ(want.shape(), got.shape()) << what;
   for (std::size_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(want.at(i), got.at(i)) << what << " element " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.at(i)),
+              std::bit_cast<std::uint32_t>(got.at(i)))
+        << what << " element " << i << ": " << want.at(i) << " vs "
+        << got.at(i);
   }
+}
+
+// Values drawn from a small set, so that windows hold ties, signed zeros,
+// NaNs and -inf. Plane 0 is all NaN, so its pooling windows keep the
+// initial -inf and offset 0.
+Tensor tricky_input(const Shape& s, std::uint64_t seed) {
+  const float values[] = {-1.0f, -0.0f, 0.0f, 0.5f, 0.5f, 2.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::infinity()};
+  Rng rng(seed);
+  Tensor t(s);
+  const std::size_t plane = s.h() * s.w();
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t.at(i) = i < plane ? values[6] : values[rng.uniform_int(8)];
+  }
+  return t;
 }
 
 // One shape above the fan-out grain (the HEP conv1 activation at batch
@@ -283,15 +307,19 @@ TEST(MaxPool2d, BatchParallelMatchesSerialLoop) {
       SCOPED_TRACE(::testing::Message() << shape << " k" << k << " s"
                                         << stride);
       MaxPool2d pool("p", k, stride);
-      const Tensor in = random_input(shape, 5);
-      const Tensor dout = random_input(pool.output_shape(shape), 6);
-      Tensor want_out, want_din;
-      serial_maxpool(in, k, stride, dout, want_out, want_din);
-      Tensor out, din;
-      pool.forward(in, out);
-      pool.backward(in, dout, din);
-      expect_same_bits(want_out, out, "forward");
-      expect_same_bits(want_din, din, "backward");
+      for (const bool tricky : {false, true}) {
+        const Tensor in =
+            tricky ? tricky_input(shape, 9) : random_input(shape, 5);
+        const Tensor dout = random_input(pool.output_shape(shape), 6);
+        Tensor want_out, want_din;
+        serial_maxpool(in, k, stride, dout, want_out, want_din);
+        Tensor out, din;
+        pool.forward(in, out);
+        pool.backward(in, dout, din);
+        expect_same_bits(want_out, out, tricky ? "tricky forward" : "forward");
+        expect_same_bits(want_din, din,
+                         tricky ? "tricky backward" : "backward");
+      }
     }
   }
 }
@@ -349,18 +377,22 @@ TEST(ReLU, BatchParallelMatchesSerialLoop) {
   for (const Shape& shape : kMemoryBoundShapes) {
     SCOPED_TRACE(::testing::Message() << shape);
     ReLU relu("r");
-    const Tensor in = random_input(shape, 7);
-    const Tensor dout = random_input(shape, 8);
-    Tensor want_out(shape), want_din(shape);
-    for (std::size_t i = 0; i < in.numel(); ++i) {
-      want_out.at(i) = in.at(i) > 0.0f ? in.at(i) : 0.0f;
-      want_din.at(i) = in.at(i) > 0.0f ? dout.at(i) : 0.0f;
+    for (const bool tricky : {false, true}) {
+      const Tensor in =
+          tricky ? tricky_input(shape, 11) : random_input(shape, 7);
+      const Tensor dout =
+          tricky ? tricky_input(shape, 12) : random_input(shape, 8);
+      Tensor want_out(shape), want_din(shape);
+      for (std::size_t i = 0; i < in.numel(); ++i) {
+        want_out.at(i) = in.at(i) > 0.0f ? in.at(i) : 0.0f;
+        want_din.at(i) = in.at(i) > 0.0f ? dout.at(i) : 0.0f;
+      }
+      Tensor out, din;
+      relu.forward(in, out);
+      relu.backward(in, dout, din);
+      expect_same_bits(want_out, out, tricky ? "tricky forward" : "forward");
+      expect_same_bits(want_din, din, tricky ? "tricky backward" : "backward");
     }
-    Tensor out, din;
-    relu.forward(in, out);
-    relu.backward(in, dout, din);
-    expect_same_bits(want_out, out, "forward");
-    expect_same_bits(want_din, din, "backward");
   }
 }
 

@@ -1,7 +1,8 @@
 // Runtime SIMD dispatch (src/gemm/simd.hpp): the PF15_SIMD resolution
 // rule, cpuid detection consistency, per-tier kernel-table correctness
-// against the naive GEMM, scalar-vs-AVX2 numerical agreement, and the
-// bitwise pack-layout contract shared by every tier.
+// against the naive GEMM, scalar-vs-AVX2 numerical agreement, AVX-512 vs
+// AVX2 bit identity, and the bitwise pack-layout contract shared by
+// every tier.
 //
 // Cross-tier comparisons are tolerance-based BY DESIGN: the AVX2 tier
 // uses FMA, which skips the intermediate rounding of a*b+c. For k
@@ -33,29 +34,33 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 
 /// Every tier the running machine can execute.
 std::vector<SimdLevel> runnable_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (gemm::simd_detected_level() == SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= gemm::simd_detected_level()) levels.push_back(level);
   }
   return levels;
 }
 
+const SimdLevel kAllLevels[] = {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                SimdLevel::kAvx512};
+
 TEST(SimdResolve, OffScalarAndZeroForceScalar) {
   for (const char* env : {"off", "scalar", "0"}) {
-    EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx2, env), SimdLevel::kScalar)
-        << env;
-    EXPECT_EQ(gemm::simd_resolve(SimdLevel::kScalar, env),
-              SimdLevel::kScalar)
-        << env;
+    for (const SimdLevel detected : kAllLevels) {
+      EXPECT_EQ(gemm::simd_resolve(detected, env), SimdLevel::kScalar)
+          << env << " on " << gemm::to_string(detected);
+    }
   }
 }
 
 TEST(SimdResolve, UnsetAndAffirmativeKeepDetected) {
   for (const char* env :
        {static_cast<const char*>(nullptr), "", "on", "auto", "garbage"}) {
-    EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx2, env), SimdLevel::kAvx2);
-    EXPECT_EQ(gemm::simd_resolve(SimdLevel::kScalar, env),
-              SimdLevel::kScalar);
+    for (const SimdLevel detected : kAllLevels) {
+      EXPECT_EQ(gemm::simd_resolve(detected, env), detected)
+          << (env ? env : "<unset>") << " on " << gemm::to_string(detected);
+    }
   }
 }
 
@@ -63,6 +68,20 @@ TEST(SimdResolve, RequestingAvx2NeverExceedsDetected) {
   EXPECT_EQ(gemm::simd_resolve(SimdLevel::kScalar, "avx2"),
             SimdLevel::kScalar);
   EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx2, "avx2"), SimdLevel::kAvx2);
+}
+
+TEST(SimdResolve, RequestingAvx2PinsItOnAvx512Hardware) {
+  EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx512, "avx2"),
+            SimdLevel::kAvx2);
+}
+
+TEST(SimdResolve, RequestingAvx512NeverExceedsDetected) {
+  EXPECT_EQ(gemm::simd_resolve(SimdLevel::kScalar, "avx512"),
+            SimdLevel::kScalar);
+  EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx2, "avx512"),
+            SimdLevel::kAvx2);
+  EXPECT_EQ(gemm::simd_resolve(SimdLevel::kAvx512, "avx512"),
+            SimdLevel::kAvx512);
 }
 
 TEST(SimdDetect, ActiveLevelIsResolvedDetection) {
@@ -79,6 +98,7 @@ TEST(SimdDetect, IsaStringNamesTheActiveLevel) {
   EXPECT_EQ(gemm::simd_isa_string(), gemm::to_string(gemm::simd_level()));
   EXPECT_STREQ(gemm::to_string(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(gemm::to_string(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(gemm::to_string(SimdLevel::kAvx512), "avx512");
 }
 
 TEST(SimdDetect, KernelTablesReportTheirTier) {
@@ -86,13 +106,29 @@ TEST(SimdDetect, KernelTablesReportTheirTier) {
             SimdLevel::kScalar);
   EXPECT_EQ(gemm::gemm_kernels().level, gemm::simd_level());
   EXPECT_EQ(gemm::winograd_block_kernels().level, gemm::simd_level());
-  if (gemm::simd_detected_level() == SimdLevel::kAvx2) {
+  // Only the AVX-512 tier has a two-panel kernel; the others keep the
+  // single-panel path.
+  EXPECT_EQ(gemm::gemm_kernels_for(SimdLevel::kScalar).microkernel_pair,
+            nullptr);
+  EXPECT_EQ(gemm::gemm_kernels_for(SimdLevel::kAvx2).microkernel_pair,
+            nullptr);
+  if (gemm::simd_detected_level() >= SimdLevel::kAvx2) {
     // Both paths are live in this one binary: the AVX2 table must carry
     // a genuinely different microkernel, not an aliased scalar one.
     EXPECT_EQ(gemm::gemm_kernels_for(SimdLevel::kAvx2).level,
               SimdLevel::kAvx2);
     EXPECT_NE(gemm::gemm_kernels_for(SimdLevel::kAvx2).microkernel,
               gemm::gemm_kernels_for(SimdLevel::kScalar).microkernel);
+  }
+  if (gemm::simd_detected_level() >= SimdLevel::kAvx512) {
+    // The odd last panel runs AVX2's 6x16 kernel.
+    const auto& avx512 = gemm::gemm_kernels_for(SimdLevel::kAvx512);
+    EXPECT_EQ(avx512.level, SimdLevel::kAvx512);
+    EXPECT_NE(avx512.microkernel_pair, nullptr);
+    EXPECT_EQ(avx512.microkernel,
+              gemm::gemm_kernels_for(SimdLevel::kAvx2).microkernel);
+    EXPECT_EQ(gemm::winograd_block_kernels_for(SimdLevel::kAvx512).f4_input,
+              gemm::winograd_block_kernels_for(SimdLevel::kAvx2).f4_input);
   }
 }
 
@@ -136,7 +172,7 @@ TEST(SimdGemm, EveryRunnableTierMatchesNaive) {
 }
 
 TEST(SimdGemm, TiersAgreeToFmaTolerance) {
-  if (gemm::simd_detected_level() != SimdLevel::kAvx2) {
+  if (gemm::simd_detected_level() < SimdLevel::kAvx2) {
     GTEST_SKIP() << "no AVX2 on this machine: single-tier build";
   }
   const std::size_t m = 37, n = 53, k = 128;
@@ -152,6 +188,52 @@ TEST(SimdGemm, TiersAgreeToFmaTolerance) {
   for (std::size_t i = 0; i < c_scalar.size(); ++i) {
     ASSERT_NEAR(c_avx2[i], c_scalar[i], tol) << "element " << i;
   }
+}
+
+TEST(SimdGemm, Avx512BitIdenticalToAvx2) {
+  if (gemm::simd_detected_level() < SimdLevel::kAvx512) {
+    GTEST_SKIP() << "no AVX-512F on this machine";
+  }
+  // n = 64 and 32 are even panel counts (pair path only), 48 and 40 odd
+  // (the last panel, full or ragged, takes the 6x16 kernel), 8 is a
+  // single partial panel. m % 6 != 0 leaves a short last A panel, and
+  // k = 300 and 520 span two and three KC blocks.
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {
+      {12, 64, 16}, {13, 48, 31}, {7, 40, 300}, {25, 8, 64},
+      {97, 32, 520}, {6, 17, 9},
+  };
+  std::size_t compared = 0;
+  for (const auto& s : shapes) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          const std::size_t lda = ta ? s.m : s.k;
+          const std::size_t ldb = tb ? s.k : s.n;
+          const std::vector<float> a =
+              random_vec((ta ? s.k : s.m) * lda, 0xA5 + s.m);
+          const std::vector<float> b =
+              random_vec((tb ? s.n : s.k) * ldb, 0xB5 + s.n);
+          std::vector<float> c_avx2 = random_vec(s.m * s.n, 0xC5 + s.k);
+          std::vector<float> c_avx512 = c_avx2;
+          gemm::sgemm_at(SimdLevel::kAvx2, ta, tb, s.m, s.n, s.k, 0.75f,
+                         a.data(), lda, b.data(), ldb, beta, c_avx2.data(),
+                         s.n);
+          gemm::sgemm_at(SimdLevel::kAvx512, ta, tb, s.m, s.n, s.k, 0.75f,
+                         a.data(), lda, b.data(), ldb, beta, c_avx512.data(),
+                         s.n);
+          ASSERT_EQ(std::memcmp(c_avx2.data(), c_avx512.data(),
+                                c_avx2.size() * sizeof(float)),
+                    0)
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k
+              << " trans_a=" << ta << " trans_b=" << tb << " beta=" << beta;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, std::size(shapes) * 12);
 }
 
 TEST(SimdGemm, PackLayoutIsBitwiseTierIndependent) {
@@ -190,7 +272,7 @@ TEST(SimdGemm, PackLayoutIsBitwiseTierIndependent) {
 // ---- Winograd block transforms across tiers --------------------------------
 
 TEST(SimdWinograd, BlockTransformsAgreeAcrossTiers) {
-  if (gemm::simd_detected_level() != SimdLevel::kAvx2) {
+  if (gemm::simd_detected_level() < SimdLevel::kAvx2) {
     GTEST_SKIP() << "no AVX2 on this machine: single-tier build";
   }
   const auto& s = gemm::winograd_block_kernels_for(SimdLevel::kScalar);
