@@ -1,8 +1,8 @@
 // Work-stealing task scheduler: the process-wide compute substrate.
 //
-// Replaces the flat ThreadPool (which forbade nested waits, forcing the
-// `parallel_ok=false` serial switch through every layer under a parallel
-// level) with a scheduler on which nesting is legal *by construction*:
+// Every parallel loop in the library (the GEMM driver, the conv backends,
+// the batch-parallel layers, the compiled executor) runs on this one
+// scheduler, and nesting is legal *by construction*:
 //
 //   - Each worker owns a Chase–Lev deque: the owner pushes and pops at
 //     the bottom (LIFO, cache-hot child tasks first), thieves steal from
@@ -28,9 +28,6 @@
 // sleeping. Sleeping workers are woken through an epoch counter + a
 // condition variable with a 1ms timeout backstop (a lost wakeup costs a
 // millisecond, never a hang).
-//
-// ThreadPool (thread_pool.hpp) survives as a compatibility shim over
-// this class; new code should use TaskScheduler directly.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "gemm/conv_backend.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,7 +15,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "gemm/fft_conv.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
@@ -31,8 +31,6 @@ const char* to_string(ConvBackendKind kind) {
       return "im2col";
     case ConvBackendKind::kWinograd:
       return "winograd";
-    case ConvBackendKind::kFft:
-      return "fft";
     case ConvBackendKind::kDirect:
       return "direct";
   }
@@ -42,7 +40,6 @@ const char* to_string(ConvBackendKind kind) {
 std::optional<ConvBackendKind> parse_backend(const std::string& name) {
   if (name == "im2col") return ConvBackendKind::kIm2col;
   if (name == "winograd") return ConvBackendKind::kWinograd;
-  if (name == "fft") return ConvBackendKind::kFft;
   if (name == "direct") return ConvBackendKind::kDirect;
   return std::nullopt;
 }
@@ -85,16 +82,6 @@ bool ConvProblem::operator==(const ConvProblem& other) const {
   return key_tuple(*this) == key_tuple(other);
 }
 
-void ConvBackend::backward_data(const ConvProblem&, const float*,
-                                const float*, float*, bool) const {
-  PF15_CHECK_MSG(false, name() << " declines the backward_data phase");
-}
-
-void ConvBackend::backward_filter(const ConvProblem&, const float*,
-                                  const float*, float*, bool) const {
-  PF15_CHECK_MSG(false, name() << " declines the backward_filter phase");
-}
-
 namespace {
 
 void add_bias(const float* bias, std::size_t out_c, std::size_t plane,
@@ -117,47 +104,38 @@ class Im2colBackend final : public ConvBackend {
     return true;
   }
 
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool parallel_ok) const override {
+  void forward(const ConvProblem& p, const ConvPrep*, const float* image,
+               const float* weight, const float* bias,
+               float* out) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
     ScratchLease col_lease(k * n);
     float* col = col_lease.data();
     im2col(p.geom, image, col);
-    if (parallel_ok) {
-      sgemm_parallel(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f,
-                     out, n);
-    } else {
-      sgemm(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f, out, n);
-    }
+    sgemm_parallel(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f, out,
+                   n);
     add_bias(bias, m, n, out);
   }
 
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool parallel_ok) const override {
+  void backward_data(const ConvProblem& p, const ConvPrep*,
+                     const float* dout, const float* weight,
+                     float* din) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
     ScratchLease dcol_lease(k * n);
     float* dcol = dcol_lease.data();
     // dcol = W^T (k x m) * dout (m x n); din = col2im(dcol).
-    if (parallel_ok) {
-      sgemm_parallel(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f,
-                     dcol, n);
-    } else {
-      sgemm(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f, dcol, n);
-    }
+    sgemm_parallel(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f,
+                   dcol, n);
     std::memset(din, 0,
                 p.geom.in_c * p.geom.in_h * p.geom.in_w * sizeof(float));
     col2im(p.geom, dcol, din);
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool parallel_ok) const override {
+                       const float* dout, float* dweight) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
@@ -166,12 +144,8 @@ class Im2colBackend final : public ConvBackend {
     // dW += dout (m x n) * col^T (n x k); recompute col from the input
     // rather than caching it across the batch.
     im2col(p.geom, image, col);
-    if (parallel_ok) {
-      sgemm_parallel(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f,
-                     dweight, k);
-    } else {
-      sgemm(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f, dweight, k);
-    }
+    sgemm_parallel(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f,
+                   dweight, k);
   }
 
   std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
@@ -221,96 +195,81 @@ class WinogradBackend final : public ConvBackend {
     return fwd && p.geom.pad_h <= 2;
   }
 
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool parallel_ok) const override {
-    winograd_conv3x3(image, p.geom.in_c, p.geom.in_h, p.geom.in_w, weight,
-                     p.out_c, p.geom.pad_h, bias, out,
-                     winograd_pick_tile(p.geom.out_h(), p.geom.out_w()),
-                     parallel_ok);
+  std::unique_ptr<ConvPrep> prepare(const ConvProblem& p, ConvPhase phase,
+                                    const float* weight) const override {
+    const ConvGeom& g = p.geom;
+    switch (phase) {
+      case ConvPhase::kForward: {
+        auto prep = std::make_unique<Prep>();
+        prep->tile = winograd_pick_tile(g.out_h(), g.out_w());
+        prep->u.resize(
+            winograd_filter_xform_floats(g.in_c, p.out_c, prep->tile));
+        winograd_transform_filters(weight, g.in_c, p.out_c, prep->tile,
+                                   prep->u.data());
+        return prep;
+      }
+      case ConvPhase::kBackwardData: {
+        // The adjoint convolution's filter bank — rot180, channels
+        // swapped — and its Winograd transform depend only on the
+        // weights: build both once here instead of per image.
+        auto prep = std::make_unique<Prep>();
+        prep->tile = winograd_pick_tile(g.in_h, g.in_w);
+        std::vector<float> wt(g.in_c * p.out_c * 9);
+        rotate_swap_filters(weight, g.in_c, p.out_c, wt.data());
+        // Adjoint conv: IC = out_c (dout channels), OC = in_c.
+        prep->u.resize(
+            winograd_filter_xform_floats(p.out_c, g.in_c, prep->tile));
+        winograd_transform_filters(wt.data(), p.out_c, g.in_c, prep->tile,
+                                   prep->u.data());
+        return prep;
+      }
+      case ConvPhase::kBackwardFilter:
+        break;
+    }
+    return nullptr;
   }
 
-  std::unique_ptr<ConvPrep> prepare_forward(
-      const ConvProblem& p, const float* weight) const override {
-    auto prep = std::make_unique<Prep>();
-    prep->tile = winograd_pick_tile(p.geom.out_h(), p.geom.out_w());
-    prep->u.resize(
-        winograd_filter_xform_floats(p.geom.in_c, p.out_c, prep->tile));
-    winograd_transform_filters(weight, p.geom.in_c, p.out_c, prep->tile,
-                               prep->u.data());
-    return prep;
-  }
-
-  void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
-                        const float* image, const float* weight,
-                        const float* bias, float* out,
-                        bool parallel_ok) const override {
+  void forward(const ConvProblem& p, const ConvPrep* prep, const float* image,
+               const float* weight, const float* bias,
+               float* out) const override {
+    const ConvGeom& g = p.geom;
     if (prep == nullptr) {
-      forward(p, image, weight, bias, out, parallel_ok);
+      winograd_conv3x3(image, g.in_c, g.in_h, g.in_w, weight, p.out_c,
+                       g.pad_h, bias, out,
+                       winograd_pick_tile(g.out_h(), g.out_w()));
       return;
     }
     const auto& wp = static_cast<const Prep&>(*prep);
-    winograd_conv3x3_pre(image, p.geom.in_c, p.geom.in_h, p.geom.in_w,
-                         wp.u.data(), p.out_c, p.geom.pad_h, bias, out,
-                         wp.tile, parallel_ok);
+    winograd_conv3x3_pre(image, g.in_c, g.in_h, g.in_w, wp.u.data(), p.out_c,
+                         g.pad_h, bias, out, wp.tile);
   }
 
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool parallel_ok) const override {
+  void backward_data(const ConvProblem& p, const ConvPrep* prep,
+                     const float* dout, const float* weight,
+                     float* din) const override {
     // din = dout * rot180(W)^T(channels): a stride-1 3x3 convolution of
     // the (OC, OH, OW) gradient at padding 2 - pad producing (C, H, W).
     const ConvGeom& g = p.geom;
-    const std::size_t in_c = g.in_c;
-    const std::size_t out_c = p.out_c;
-    ScratchLease wt_lease(in_c * out_c * 9);
-    float* wt = wt_lease.data();
-    rotate_swap_filters(weight, in_c, out_c, wt);
-    winograd_conv3x3(dout, out_c, g.out_h(), g.out_w(), wt, in_c,
-                     2 - g.pad_h, nullptr, din,
-                     winograd_pick_tile(g.in_h, g.in_w), parallel_ok);
-  }
-
-  std::unique_ptr<ConvPrep> prepare_backward_data(
-      const ConvProblem& p, const float* weight) const override {
-    // The adjoint convolution's filter bank — rot180, channels swapped —
-    // and its Winograd transform depend only on the weights: build both
-    // once here instead of per image inside the batch loop.
-    const ConvGeom& g = p.geom;
-    auto prep = std::make_unique<Prep>();
-    prep->tile = winograd_pick_tile(g.in_h, g.in_w);
-    std::vector<float> wt(g.in_c * p.out_c * 9);
-    rotate_swap_filters(weight, g.in_c, p.out_c, wt.data());
-    // Adjoint conv: IC = out_c (dout channels), OC = in_c.
-    prep->u.resize(
-        winograd_filter_xform_floats(p.out_c, g.in_c, prep->tile));
-    winograd_transform_filters(wt.data(), p.out_c, g.in_c, prep->tile,
-                               prep->u.data());
-    return prep;
-  }
-
-  void backward_data_prepared(const ConvProblem& p, const ConvPrep* prep,
-                              const float* dout, const float* weight,
-                              float* din, bool parallel_ok) const override {
     if (prep == nullptr) {
-      backward_data(p, dout, weight, din, parallel_ok);
+      ScratchLease wt_lease(g.in_c * p.out_c * 9);
+      float* wt = wt_lease.data();
+      rotate_swap_filters(weight, g.in_c, p.out_c, wt);
+      winograd_conv3x3(dout, p.out_c, g.out_h(), g.out_w(), wt, g.in_c,
+                       2 - g.pad_h, nullptr, din,
+                       winograd_pick_tile(g.in_h, g.in_w));
       return;
     }
-    const ConvGeom& g = p.geom;
     const auto& wp = static_cast<const Prep&>(*prep);
     winograd_conv3x3_pre(dout, p.out_c, g.out_h(), g.out_w(), wp.u.data(),
-                         g.in_c, 2 - g.pad_h, nullptr, din, wp.tile,
-                         parallel_ok);
+                         g.in_c, 2 - g.pad_h, nullptr, din, wp.tile);
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool parallel_ok) const override {
+                       const float* dout, float* dweight) const override {
     const ConvGeom& g = p.geom;
     winograd_backward_filter3x3(image, g.in_c, g.in_h, g.in_w, dout, p.out_c,
                                 g.pad_h, dweight,
-                                winograd_pick_tile(g.out_h(), g.out_w()),
-                                parallel_ok);
+                                winograd_pick_tile(g.out_h(), g.out_w()));
   }
 
   std::uint64_t flops(const ConvProblem& p, ConvPhase phase) const override {
@@ -332,55 +291,6 @@ class WinogradBackend final : public ConvBackend {
   }
 };
 
-// ---- FFT -------------------------------------------------------------------
-
-class FftBackend final : public ConvBackend {
- public:
-  ConvBackendKind kind() const override { return ConvBackendKind::kFft; }
-
-  bool applicable(const ConvProblem& p, ConvPhase) const override {
-    // The spectral kernels take one kernel/stride/pad per problem
-    // (square taps); within that shape every phase is implemented — the
-    // gradients are exact adjoints in the transform domain
-    // (fft_conv2d_backward_*), so FFT races im2col/Winograd/direct in
-    // the backward autotunes too.
-    return p.geom.kernel_h == p.geom.kernel_w &&
-           p.geom.stride_h == p.geom.stride_w &&
-           p.geom.pad_h == p.geom.pad_w;
-  }
-
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool /*parallel_ok*/) const override {
-    fft_conv2d(image, p.geom.in_c, p.geom.in_h, p.geom.in_w, weight,
-               p.out_c, p.geom.kernel_h, p.geom.stride_h, p.geom.pad_h,
-               bias, out);
-  }
-
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool /*parallel_ok*/) const override {
-    fft_conv2d_backward_data(dout, p.geom.in_c, p.geom.in_h, p.geom.in_w,
-                             weight, p.out_c, p.geom.kernel_h,
-                             p.geom.stride_h, p.geom.pad_h, din);
-  }
-
-  void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool /*parallel_ok*/) const override {
-    fft_conv2d_backward_filter(image, p.geom.in_c, p.geom.in_h, p.geom.in_w,
-                               dout, p.out_c, p.geom.kernel_h,
-                               p.geom.stride_h, p.geom.pad_h, dweight);
-  }
-
-  std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
-    // Every phase moves the same transform count and pointwise work
-    // (see fft_conv.hpp), so the model is phase-independent.
-    return fft_conv_flops(p.geom.in_c, p.out_c, p.geom.in_h, p.geom.in_w,
-                          p.geom.kernel_h, p.geom.pad_h);
-  }
-};
-
 // ---- direct (small-spatial) ------------------------------------------------
 
 // Plain nested loops, no lowering and no transform. Arithmetic equals the
@@ -395,9 +305,9 @@ class DirectBackend final : public ConvBackend {
     return true;
   }
 
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool /*parallel_ok*/) const override {
+  void forward(const ConvProblem& p, const ConvPrep*, const float* image,
+               const float* weight, const float* bias,
+               float* out) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -491,9 +401,9 @@ class DirectBackend final : public ConvBackend {
     }
   }
 
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool /*parallel_ok*/) const override {
+  void backward_data(const ConvProblem& p, const ConvPrep*,
+                     const float* dout, const float* weight,
+                     float* din) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -536,8 +446,7 @@ class DirectBackend final : public ConvBackend {
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool /*parallel_ok*/) const override {
+                       const float* dout, float* dweight) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -590,15 +499,12 @@ class DirectBackend final : public ConvBackend {
 const ConvBackend& backend(ConvBackendKind kind) {
   static const Im2colBackend im2col_backend;
   static const WinogradBackend winograd_backend;
-  static const FftBackend fft_backend;
   static const DirectBackend direct_backend;
   switch (kind) {
     case ConvBackendKind::kIm2col:
       return im2col_backend;
     case ConvBackendKind::kWinograd:
       return winograd_backend;
-    case ConvBackendKind::kFft:
-      return fft_backend;
     case ConvBackendKind::kDirect:
       return direct_backend;
   }
@@ -611,7 +517,6 @@ const std::vector<const ConvBackend*>& all_backends() {
   static const std::vector<const ConvBackend*> table = {
       &backend(ConvBackendKind::kIm2col),
       &backend(ConvBackendKind::kWinograd),
-      &backend(ConvBackendKind::kFft),
       &backend(ConvBackendKind::kDirect),
   };
   return table;
@@ -632,9 +537,8 @@ std::vector<const ConvBackend*> candidate_backends(
       backend(ConvBackendKind::kIm2col).flops(p, phase));
   std::vector<const ConvBackend*> out;
   for (const ConvBackend* b : applicable_backends(p, phase)) {
-    // Reject hopeless candidates on the analytic cost model alone: timing
-    // FFT on a 3x3 problem would cost orders of magnitude more than the
-    // convolution it is supposed to speed up. The direct backend's flops
+    // Reject hopeless candidates on the analytic cost model alone, before
+    // they cost a timed run. The direct backend's flops
     // equal im2col's, so it is never rejected — intentional: on this
     // code's scalar SGEMM it *wins* big geometries outright (e.g. the
     // 512->768 5x5 climate encoder stage measured), and timing it costs
@@ -650,8 +554,7 @@ std::vector<const ConvBackend*> candidate_backends(
 }
 
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
-                         const AutotuneOptions& opt, ConvPhase phase,
-                         bool parallel_ok) {
+                         const AutotuneOptions& opt, ConvPhase phase) {
   PF15_CHECK_MSG(b.applicable(p, phase),
                  "benchmark_backend: " << b.name() << " not applicable to "
                                        << to_string(phase));
@@ -687,16 +590,15 @@ double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
   const auto run = [&] {
     switch (phase) {
       case ConvPhase::kForward:
-        b.forward(p, image.data(), weight.data(), bias.data(), result.data(),
-                  parallel_ok);
+        b.forward(p, nullptr, image.data(), weight.data(), bias.data(),
+                  result.data());
         break;
       case ConvPhase::kBackwardData:
-        b.backward_data(p, dout.data(), weight.data(), result.data(),
-                        parallel_ok);
+        b.backward_data(p, nullptr, dout.data(), weight.data(),
+                        result.data());
         break;
       case ConvPhase::kBackwardFilter:
-        b.backward_filter(p, image.data(), dout.data(), result.data(),
-                          parallel_ok);
+        b.backward_filter(p, image.data(), dout.data(), result.data());
         break;
     }
   };
@@ -713,16 +615,16 @@ double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
 }
 
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
-                  ConvPhase phase, bool parallel_ok) {
+                  ConvPhase phase) {
   const ConvBackend& reference = backend(ConvBackendKind::kIm2col);
   ConvPlan plan;
   plan.tuned = true;
-  plan.im2col_us = benchmark_backend(reference, p, opt, phase, parallel_ok);
+  plan.im2col_us = benchmark_backend(reference, p, opt, phase);
   plan.kind = ConvBackendKind::kIm2col;
   plan.best_us = plan.im2col_us;
   for (const ConvBackend* b : candidate_backends(p, opt, phase)) {
     if (b->kind() == ConvBackendKind::kIm2col) continue;
-    const double us = benchmark_backend(*b, p, opt, phase, parallel_ok);
+    const double us = benchmark_backend(*b, p, opt, phase);
     if (us < plan.best_us) {
       plan.best_us = us;
       plan.kind = b->kind();
@@ -791,7 +693,6 @@ struct GlobalConvPlanCache {
 struct StoredPlan {
   ConvProblem problem;
   ConvPhase phase = ConvPhase::kForward;
-  bool parallel_ok = false;
   std::size_t batch = 1;  // bucket (power of two)
   ConvPlan plan;
 };
@@ -808,10 +709,9 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
     if (doc.get("format").as_string() != kCacheFormat) {
       throw reject("not a conv plan cache file");
     }
-    const int version = static_cast<int>(doc.get("version").as_number());
-    if (version != kConvPlanCacheVersion) {
-      throw reject("format version " + std::to_string(version) +
-                   " != expected " +
+    const perf::Json& version = doc.get("version");
+    if (version.as_number() != kConvPlanCacheVersion) {
+      throw reject("format version " + version.dump(0) + " != expected " +
                    std::to_string(kConvPlanCacheVersion));
     }
     const perf::Json& hw = doc.get("hardware");
@@ -832,8 +732,16 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
       const perf::Json& entry = entries.at(i);
       StoredPlan stored;
       ConvGeom& g = stored.problem.geom;
+      // Untrusted numbers: only a non-negative integer that a double
+      // holds exactly (<= 2^53) converts to size_t; anything else
+      // (negative, fractional, NaN, huge) would be undefined behaviour.
       const auto field = [&](const char* name) {
-        return static_cast<std::size_t>(entry.get(name).as_number());
+        const double v = entry.get(name).as_number();
+        if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
+          throw reject(std::string("field '") + name +
+                       "' is not a non-negative integer");
+        }
+        return static_cast<std::size_t>(v);
       };
       g.in_c = field("in_c");
       g.in_h = field("in_h");
@@ -851,7 +759,6 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
                      "'");
       }
       stored.phase = *phase;
-      stored.parallel_ok = entry.get("parallel_ok").as_bool();
       stored.batch = conv_batch_bucket(field("batch"));
       const auto kind = parse_backend(entry.get("backend").as_string());
       if (!kind.has_value()) {
@@ -939,8 +846,8 @@ CacheMetrics& cache_metrics() {
 }  // namespace
 
 ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
-                             bool parallel_ok, std::size_t batch) {
-  const Key key{p, phase, parallel_ok, conv_batch_bucket(batch)};
+                             std::size_t batch) {
+  const Key key{p, phase, conv_batch_bucket(batch)};
   UniqueLock lock(mutex_);
   for (;;) {
     auto ov = overrides_.find(OverrideKey{p, phase});
@@ -981,7 +888,7 @@ ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
                   std::to_string(conv_batch_bucket(batch))
             : std::string(),
         "tune");
-    tuned = autotune(p, opt_, phase, parallel_ok);
+    tuned = autotune(p, opt_, phase);
   } catch (...) {
     lock.lock();
     tuning_.erase(key);
@@ -1002,12 +909,11 @@ ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
 
 std::optional<ConvPlan> ConvPlanCache::lookup(const ConvProblem& p,
                                               ConvPhase phase,
-                                              bool parallel_ok,
                                               std::size_t batch) const {
   MutexLock lock(mutex_);
   auto ov = overrides_.find(OverrideKey{p, phase});
   if (ov != overrides_.end()) return ov->second;
-  auto it = plans_.find(Key{p, phase, parallel_ok, conv_batch_bucket(batch)});
+  auto it = plans_.find(Key{p, phase, conv_batch_bucket(batch)});
   if (it == plans_.end()) return std::nullopt;
   return it->second;
 }
@@ -1026,7 +932,7 @@ namespace {
 
 /// Renders a set of keyed plans as the canonical cache document.
 perf::Json render_plan_doc(
-    const std::map<std::tuple<ConvProblem, ConvPhase, bool, std::size_t>,
+    const std::map<std::tuple<ConvProblem, ConvPhase, std::size_t>,
                    ConvPlan>& plans) {
   perf::Json doc = perf::Json::object();
   doc.set("format", kCacheFormat);
@@ -1034,7 +940,7 @@ perf::Json render_plan_doc(
   doc.set("hardware", hardware_signature());
   perf::Json entries = perf::Json::array();
   for (const auto& [key, plan] : plans) {
-    const auto& [problem, phase, parallel_ok, batch] = key;
+    const auto& [problem, phase, batch] = key;
     const ConvGeom& g = problem.geom;
     perf::Json entry = perf::Json::object();
     entry.set("in_c", g.in_c);
@@ -1048,7 +954,6 @@ perf::Json render_plan_doc(
     entry.set("pad_w", g.pad_w);
     entry.set("out_c", problem.out_c);
     entry.set("phase", to_string(phase));
-    entry.set("parallel_ok", parallel_ok);
     entry.set("batch", batch);
     entry.set("backend", to_string(plan.kind));
     entry.set("best_us", plan.best_us);
@@ -1073,7 +978,7 @@ void ConvPlanCache::save(const std::string& path) const {
   if (std::filesystem::exists(path, ec)) {
     try {
       for (const StoredPlan& s : parse_plan_file(path)) {
-        merged[Key{s.problem, s.phase, s.parallel_ok, s.batch}] = s.plan;
+        merged[Key{s.problem, s.phase, s.batch}] = s.plan;
       }
     } catch (const Error&) {
       // Unreadable or mismatched file: rewrite it from scratch below.
@@ -1119,7 +1024,7 @@ void ConvPlanCache::load(const std::string& path) {
   // emplace: entries already in memory win — they are this process's
   // freshest measurements (or explicit overrides).
   for (const StoredPlan& s : stored) {
-    plans_.emplace(Key{s.problem, s.phase, s.parallel_ok, s.batch}, s.plan);
+    plans_.emplace(Key{s.problem, s.phase, s.batch}, s.plan);
   }
 }
 
@@ -1129,7 +1034,7 @@ void ConvPlanCache::load_document(const std::string& text,
       parse_plan_doc(perf::Json::parse(text), origin);
   MutexLock lock(mutex_);
   for (const StoredPlan& s : stored) {
-    plans_.emplace(Key{s.problem, s.phase, s.parallel_ok, s.batch}, s.plan);
+    plans_.emplace(Key{s.problem, s.phase, s.batch}, s.plan);
   }
 }
 

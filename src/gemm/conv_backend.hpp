@@ -12,6 +12,13 @@
 // winner. Layers ask for a plan per phase instead of hardcoding a
 // lowering; benches and the tune::Space integration sweep the same table.
 //
+// Three backends are registered: im2col+GEMM, Winograd F(2x2/4x4,3x3)
+// and direct loops. Each exposes four entry points — prepare (weight-only
+// work hoisted out of a batch loop), forward, backward_data and
+// backward_filter — and there is one execution mode: eager layers,
+// compiled plans and the autotuner all call the same entry points, and
+// every backend may fan out on the global task scheduler.
+//
 // Plans persist: ConvPlanCache has a versioned on-disk JSON format
 // (save/load with a header carrying the cache version and a hardware
 // signature), and the global cache auto-loads it at startup and writes it
@@ -36,14 +43,13 @@
 
 namespace pf15::gemm {
 
-/// Identity of a convolution algorithm in the dispatch table. Values are
-/// stable (they appear in perf records, plan-cache files and tune::Space
-/// encodings).
+/// Identity of a convolution algorithm in the dispatch table. Values index
+/// all_backends() and encode tune::Space choices; plan-cache files and
+/// perf records store the names (to_string).
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
-  kFft = 2,       // spectral: profitable for large kernels, square only
-  kDirect = 3,    // naive loops: wins when the lowered matrix is tiny
+  kDirect = 2,    // naive loops: wins when the lowered matrix is tiny
 };
 
 /// The three convolution operations of a training step. Each phase tunes
@@ -55,7 +61,7 @@ enum class ConvPhase : int {
   kBackwardFilter = 2,  // dW from X and dY
 };
 
-/// Stable lower-case name ("im2col", "winograd", "fft", "direct").
+/// Stable lower-case name ("im2col", "winograd", "direct").
 const char* to_string(ConvBackendKind kind);
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<ConvBackendKind> parse_backend(const std::string& name);
@@ -82,13 +88,12 @@ struct ConvProblem {
   bool operator==(const ConvProblem& other) const;
 };
 
-/// Opaque weight-derived state shared by many forward() or
-/// backward_data() calls over one (problem, weights) pair — e.g.
-/// Winograd's transformed filter bank U, which depends only on the
-/// weights and would otherwise be recomputed per image inside a batch
-/// loop. Produced by ConvBackend::prepare_forward /
-/// prepare_backward_data on the caller's thread, consumed read-only by
-/// the *_prepared entry points (safe to share across pool threads).
+/// Opaque weight-derived state shared by every image of one conv phase
+/// over one (problem, weights) pair — e.g. Winograd's transformed filter
+/// bank U, which depends only on the weights and would otherwise be
+/// recomputed per image inside a batch loop. Produced by
+/// ConvBackend::prepare on the caller's thread and consumed read-only by
+/// forward() / backward_data() (safe to share across scheduler tasks).
 class ConvPrep {
  public:
   virtual ~ConvPrep() = default;
@@ -97,13 +102,11 @@ class ConvPrep {
 /// A convolution algorithm. Implementations are stateless and immutable
 /// after registration; per-call scratch is a ScratchLease from the
 /// calling thread's pool (scratch.hpp), so one backend instance can serve
-/// a batch-parallel loop.
-///
-/// All entry points take `parallel_ok`: it permits internal fan-out on
-/// the global task scheduler. Nested waits are legal on the scheduler
-/// (waiting executes pending work), so parallel_ok=true is safe at any
-/// nesting depth — the hot paths pass true everywhere; false forces a
-/// strictly serial call (tests, mode-controlled timing).
+/// a batch-parallel loop. Backends may fan out internally on
+/// TaskScheduler::global(): nested waits execute pending work, so that is
+/// legal at any nesting depth, and every output element is still computed
+/// by exactly one task in a fixed order — results do not depend on the
+/// scheduler width.
 class ConvBackend {
  public:
   virtual ~ConvBackend() = default;
@@ -112,75 +115,42 @@ class ConvBackend {
   const char* name() const { return to_string(kind()); }
 
   /// Whether this algorithm can compute `p` in `phase` (e.g. Winograd is
-  /// 3x3 stride-1 only; FFT needs a square kernel, stride and pad, and
-  /// then runs every phase).
+  /// 3x3 stride-1 only, and its backward-data needs pad <= 2).
   virtual bool applicable(const ConvProblem& p,
                           ConvPhase phase = ConvPhase::kForward) const = 0;
 
-  /// One image forward: image (C,H,W) -> out (OC,OH,OW), `bias` may be
-  /// null.
-  virtual void forward(const ConvProblem& p, const float* image,
-                       const float* weight, const float* bias, float* out,
-                       bool parallel_ok) const = 0;
-
-  /// Hoists weight-only work (filter transforms) out of a batch loop.
-  /// Returns null when the backend has nothing to precompute — the
-  /// default; forward_prepared then falls back to plain forward().
-  virtual std::unique_ptr<ConvPrep> prepare_forward(
-      const ConvProblem& p, const float* weight) const {
+  /// Hoists weight-only work (filter transforms) of `phase` out of a
+  /// batch loop. Returns null when the backend has nothing to precompute
+  /// for that phase — the default.
+  virtual std::unique_ptr<ConvPrep> prepare(const ConvProblem& p,
+                                            ConvPhase phase,
+                                            const float* weight) const {
     (void)p;
+    (void)phase;
     (void)weight;
     return nullptr;
   }
 
-  /// forward() that may consume `prep` (from this backend's
-  /// prepare_forward on the same problem and weights; null is allowed and
-  /// means "no prep"). The base implementation ignores prep.
-  virtual void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
-                                const float* image, const float* weight,
-                                const float* bias, float* out,
-                                bool parallel_ok) const {
-    (void)prep;
-    forward(p, image, weight, bias, out, parallel_ok);
-  }
+  /// One image forward: image (C,H,W) -> out (OC,OH,OW), `bias` may be
+  /// null. `prep` comes from prepare(p, kForward, weight) on the same
+  /// problem and weights; null means "nothing precomputed".
+  virtual void forward(const ConvProblem& p, const ConvPrep* prep,
+                       const float* image, const float* weight,
+                       const float* bias, float* out) const = 0;
 
   /// One image data gradient: dout (OC,OH,OW) and weight -> din (C,H,W).
   /// Overwrite semantics: the backend fully computes the din image.
-  /// Only valid when applicable(p, kBackwardData).
-  virtual void backward_data(const ConvProblem& p, const float* dout,
-                             const float* weight, float* din,
-                             bool parallel_ok) const;
-
-  /// Hoists weight-only backward-data work out of a batch loop —
-  /// Winograd's rotated/channel-transposed filter bank and its transform,
-  /// which would otherwise be rebuilt per image. Returns null when the
-  /// backend has nothing to precompute (the default);
-  /// backward_data_prepared then falls back to plain backward_data().
-  /// Only valid when applicable(p, kBackwardData).
-  virtual std::unique_ptr<ConvPrep> prepare_backward_data(
-      const ConvProblem& p, const float* weight) const {
-    (void)p;
-    (void)weight;
-    return nullptr;
-  }
-
-  /// backward_data() that may consume `prep` (from this backend's
-  /// prepare_backward_data on the same problem and weights; null is
-  /// allowed and means "no prep"). The base implementation ignores prep.
-  virtual void backward_data_prepared(const ConvProblem& p,
-                                      const ConvPrep* prep,
-                                      const float* dout, const float* weight,
-                                      float* din, bool parallel_ok) const {
-    (void)prep;
-    backward_data(p, dout, weight, din, parallel_ok);
-  }
+  /// `prep` comes from prepare(p, kBackwardData, weight); null means
+  /// "nothing precomputed". Only valid when applicable(p, kBackwardData).
+  virtual void backward_data(const ConvProblem& p, const ConvPrep* prep,
+                             const float* dout, const float* weight,
+                             float* din) const = 0;
 
   /// One image filter gradient: image and dout -> dweight
   /// (OC,C,KH,KW), *accumulated* (+=) so a batch loop sums over images.
   /// Only valid when applicable(p, kBackwardFilter).
   virtual void backward_filter(const ConvProblem& p, const float* image,
-                               const float* dout, float* dweight,
-                               bool parallel_ok) const;
+                               const float* dout, float* dweight) const = 0;
 
   /// Analytic per-image FLOP count for `phase` (§V accounting: one
   /// multiply-add is two FLOPs).
@@ -220,20 +190,18 @@ struct AutotuneOptions {
   /// data across runs (deterministic tuning inputs).
   std::uint64_t seed = 0x9f15c0deULL;
   /// Candidates whose analytic FLOPs exceed this multiple of im2col's are
-  /// rejected without timing (keeps e.g. FFT-at-3x3 from burning seconds
-  /// in a first-touch forward pass).
+  /// rejected without timing, so a first-touch pass never burns seconds
+  /// on a hopeless algorithm.
   double flops_cutoff = 8.0;
 };
 
 /// Measured per-image wall microseconds of `b` on `p` in `phase` (min
-/// over reps, deterministic synthetic operands). `parallel_ok` must match
-/// how the plan will execute: true lets the candidate fan out on the task
-/// scheduler (the hot-path mode — legal even beneath a batch-parallel
-/// loop, since nested waits help), false times it strictly serially.
+/// over reps, deterministic synthetic operands). Candidates fan out on
+/// the task scheduler exactly as on the hot paths; timed calls pass a
+/// null prep, so weight-only work counts against every image.
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
                          const AutotuneOptions& opt = {},
-                         ConvPhase phase = ConvPhase::kForward,
-                         bool parallel_ok = false);
+                         ConvPhase phase = ConvPhase::kForward);
 
 /// The remembered winner for one (problem, phase).
 struct ConvPlan {
@@ -244,18 +212,18 @@ struct ConvPlan {
 };
 
 /// Races every applicable (and cutoff-surviving) backend on `p` in the
-/// given phase and execution mode and returns the fastest. im2col is
-/// always among the candidates, so the winner is never slower than the
-/// reference as measured.
+/// given phase and returns the fastest. im2col is always among the
+/// candidates, so the winner is never slower than the reference as
+/// measured.
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
-                  ConvPhase phase = ConvPhase::kForward,
-                  bool parallel_ok = false);
+                  ConvPhase phase = ConvPhase::kForward);
 
 /// On-disk plan-cache format version; bumped whenever the schema or the
 /// meaning of a field changes. Files with a different version are
 /// rejected (and re-tuned from scratch). v2 added the batch bucket;
-/// v3 added the SIMD tier ("isa") to the hardware signature.
-inline constexpr int kConvPlanCacheVersion = 3;
+/// v3 added the SIMD tier ("isa") to the hardware signature; v4 dropped
+/// the serial/parallel execution mode from the key.
+inline constexpr int kConvPlanCacheVersion = 4;
 
 /// The power-of-two batch bucket a convolution executes under: 1 for
 /// single-image calls (n <= 1), otherwise the next power of two >= n.
@@ -265,13 +233,12 @@ inline constexpr int kConvPlanCacheVersion = 3;
 std::size_t conv_batch_bucket(std::size_t n);
 
 /// Process-wide memo of autotune() results, keyed by
-/// (ConvProblem, phase, execution mode, batch bucket). Thread safe; the
+/// (ConvProblem, phase, batch bucket). Thread safe; the
 /// first thread to see a key pays the tuning cost *outside* the cache
 /// lock (an in-flight set dedupes concurrent first sights), so hits never
 /// wait behind a miss being tuned. insert() lets callers (tests, the
 /// tune::Space driver, operators forcing a layout) override a plan — the
-/// override applies to every execution mode and batch bucket of its
-/// (problem, phase).
+/// override applies to every batch bucket of its (problem, phase).
 ///
 /// save()/load() give the cache a versioned on-disk JSON format whose
 /// header records the format name, kConvPlanCacheVersion and a hardware
@@ -290,27 +257,21 @@ class ConvPlanCache {
   /// "off" or "0").
   static std::string persist_path();
 
-  /// The plan for `p` in `phase` executed with `parallel_ok` at batch
-  /// size `batch` (bucketed via conv_batch_bucket), tuning on first
-  /// sight. Backends are timed in the mode they will run in: the hot
-  /// paths use parallel_ok=true (candidates may fan out on the task
-  /// scheduler, legal at any nesting depth); parallel_ok=false decides
-  /// on strictly serial times and remains a distinct cache key for
-  /// tests and mode-controlled timing.
+  /// The plan for `p` in `phase` at batch size `batch` (bucketed via
+  /// conv_batch_bucket), tuning on first sight.
   ConvPlan plan(const ConvProblem& p, ConvPhase phase = ConvPhase::kForward,
-                bool parallel_ok = false, std::size_t batch = 1);
+                std::size_t batch = 1);
 
   /// The cached plan, if any — never tunes.
   std::optional<ConvPlan> lookup(const ConvProblem& p,
                                  ConvPhase phase = ConvPhase::kForward,
-                                 bool parallel_ok = false,
                                  std::size_t batch = 1) const;
 
   /// Forces the forward plan for `p`: an override states "use this
-  /// backend" independent of how the layer batches, so it applies to both
-  /// execution modes and every batch bucket.
+  /// backend" independent of how the layer batches, so it applies to
+  /// every batch bucket.
   void insert(const ConvProblem& p, const ConvPlan& plan);
-  /// Per-phase override, same mode/bucket-independent semantics.
+  /// Per-phase override, same bucket-independent semantics.
   void insert(const ConvProblem& p, ConvPhase phase, const ConvPlan& plan);
 
   /// Writes every *tuned* cached plan to `path` (atomically: temp file +
@@ -351,14 +312,14 @@ class ConvPlanCache {
   const AutotuneOptions& options() const { return opt_; }
 
  private:
-  using Key = std::tuple<ConvProblem, ConvPhase, bool, std::size_t>;
+  using Key = std::tuple<ConvProblem, ConvPhase, std::size_t>;
   using OverrideKey = std::pair<ConvProblem, ConvPhase>;
 
   mutable Mutex mutex_;
   CondVar tuning_cv_;
   std::map<Key, ConvPlan> plans_ PF15_GUARDED_BY(mutex_);
   /// insert() overrides, consulted before plans_: one entry covers every
-  /// (mode, bucket) of its (problem, phase).
+  /// bucket of its (problem, phase).
   std::map<OverrideKey, ConvPlan> overrides_ PF15_GUARDED_BY(mutex_);
   /// Keys being autotuned right now.
   std::set<Key> tuning_ PF15_GUARDED_BY(mutex_);

@@ -39,7 +39,7 @@ void sgemm_at(SimdLevel level, bool trans_a, bool trans_b, std::size_t m,
 inline constexpr std::uint64_t kParallelMinFlops = 8ull << 20;
 
 /// Same contract as sgemm but parallelised over row blocks of C using the
-/// global thread pool. Falls back to the serial path for problems below
+/// global task scheduler. Falls back to the serial path for problems below
 /// kParallelMinFlops.
 void sgemm_parallel(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                     std::size_t k, float alpha, const float* a,

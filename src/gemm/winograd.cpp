@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
@@ -288,17 +288,14 @@ void transform_inputs(const float* image, std::size_t in_c, std::size_t h,
   }
 }
 
-/// The P transform-domain GEMMs, optionally fanned out on the task
-/// scheduler (safe under a batch-parallel loop: nested waits help).
+/// The P transform-domain GEMMs, fanned out on the task scheduler (safe
+/// under a batch-parallel loop: nested waits help). Each position writes
+/// its own output block, so the result does not depend on the width.
 template <typename Fn>
-void for_each_position(int positions, bool parallel_ok, const Fn& fn) {
-  if (parallel_ok) {
-    ThreadPool::global().parallel_for(
-        0, static_cast<std::size_t>(positions),
-        [&](std::size_t k) { fn(static_cast<int>(k)); });
-  } else {
-    for (int k = 0; k < positions; ++k) fn(k);
-  }
+void for_each_position(int positions, const Fn& fn) {
+  TaskScheduler::global().parallel_for(
+      0, static_cast<std::size_t>(positions),
+      [&](std::size_t k) { fn(static_cast<int>(k)); });
 }
 
 /// `weight` xor `u_pre`: when `u_pre` is non-null it is the caller's
@@ -308,7 +305,7 @@ template <int M>
 void wino_forward(const float* image, std::size_t in_c, std::size_t h,
                   std::size_t w, const float* weight, const float* u_pre,
                   std::size_t out_c, std::size_t pad, const float* bias,
-                  float* output, bool parallel_ok) {
+                  float* output) {
   constexpr int T = Traits<M>::kT;
   constexpr int P = T * T;
   constexpr std::size_t B = kWinoBlock;
@@ -334,7 +331,7 @@ void wino_forward(const float* image, std::size_t in_c, std::size_t h,
   transform_inputs<M>(image, in_c, h, w, pad, tg, v);
 
   // M[k] = U[k] (out_c x in_c) * V[k] (in_c x tiles).
-  for_each_position(P, parallel_ok, [&](int k) {
+  for_each_position(P, [&](int k) {
     sgemm(false, false, out_c, tg.tiles, in_c, 1.0f,
           u + static_cast<std::size_t>(k) * out_c * in_c, in_c,
           v + static_cast<std::size_t>(k) * in_c * tg.tiles, tg.tiles, 0.0f,
@@ -379,8 +376,8 @@ void wino_forward(const float* image, std::size_t in_c, std::size_t h,
 template <int M>
 void wino_backward_filter(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* dout,
-                          std::size_t out_c, std::size_t pad, float* dweight,
-                          bool parallel_ok) {
+                          std::size_t out_c, std::size_t pad,
+                          float* dweight) {
   constexpr int T = Traits<M>::kT;
   constexpr int P = T * T;
   constexpr std::size_t B = kWinoBlock;
@@ -433,7 +430,7 @@ void wino_backward_filter(const float* image, std::size_t in_c,
   }
 
   // dU[k] (out_c x in_c) = dM[k] (out_c x tiles) * V[k]^T (tiles x in_c).
-  for_each_position(P, parallel_ok, [&](int k) {
+  for_each_position(P, [&](int k) {
     sgemm(false, true, out_c, in_c, tg.tiles, 1.0f,
           dyt + static_cast<std::size_t>(k) * out_c * tg.tiles, tg.tiles,
           v + static_cast<std::size_t>(k) * in_c * tg.tiles, tg.tiles, 0.0f,
@@ -458,13 +455,13 @@ void wino_backward_filter(const float* image, std::size_t in_c,
 void winograd_conv3x3(const float* image, std::size_t in_c, std::size_t h,
                       std::size_t w, const float* weight, std::size_t out_c,
                       std::size_t pad, const float* bias, float* output,
-                      WinogradTile tile, bool parallel_ok) {
+                      WinogradTile tile) {
   if (tile == WinogradTile::kF4x4) {
     wino_forward<4>(image, in_c, h, w, weight, nullptr, out_c, pad, bias,
-                    output, parallel_ok);
+                    output);
   } else {
     wino_forward<2>(image, in_c, h, w, weight, nullptr, out_c, pad, bias,
-                    output, parallel_ok);
+                    output);
   }
 }
 
@@ -492,14 +489,12 @@ void winograd_conv3x3_pre(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* u,
                           std::size_t out_c, std::size_t pad,
                           const float* bias, float* output,
-                          WinogradTile tile, bool parallel_ok) {
+                          WinogradTile tile) {
   PF15_CHECK(u != nullptr);
   if (tile == WinogradTile::kF4x4) {
-    wino_forward<4>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output,
-                    parallel_ok);
+    wino_forward<4>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output);
   } else {
-    wino_forward<2>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output,
-                    parallel_ok);
+    wino_forward<2>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output);
   }
 }
 
@@ -507,13 +502,11 @@ void winograd_backward_filter3x3(const float* image, std::size_t in_c,
                                  std::size_t h, std::size_t w,
                                  const float* dout, std::size_t out_c,
                                  std::size_t pad, float* dweight,
-                                 WinogradTile tile, bool parallel_ok) {
+                                 WinogradTile tile) {
   if (tile == WinogradTile::kF4x4) {
-    wino_backward_filter<4>(image, in_c, h, w, dout, out_c, pad, dweight,
-                            parallel_ok);
+    wino_backward_filter<4>(image, in_c, h, w, dout, out_c, pad, dweight);
   } else {
-    wino_backward_filter<2>(image, in_c, h, w, dout, out_c, pad, dweight,
-                            parallel_ok);
+    wino_backward_filter<2>(image, in_c, h, w, dout, out_c, pad, dweight);
   }
 }
 

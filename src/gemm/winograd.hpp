@@ -49,16 +49,15 @@ WinogradTile winograd_pick_tile(std::size_t out_h, std::size_t out_w);
 ///   output(OC, OH, OW) = weight(OC, IC, 3, 3) * image(IC, H, W), `pad`
 /// zeros on each border, stride 1, OH = H + 2*pad - 2, OW likewise.
 /// `bias` may be null. Ragged right/bottom edges are handled by padding
-/// the tile grid internally. `parallel_ok` permits the transform-domain
-/// GEMMs to fan out on the global task scheduler — legal at any nesting
-/// depth (the scheduler's waits help); false keeps the call strictly
-/// serial (tests and mode-controlled timing).
+/// the tile grid internally. The transform-domain GEMMs fan out on the
+/// global task scheduler — legal at any nesting depth (the scheduler's
+/// waits help) — and each writes its own block, so the bits do not
+/// depend on the scheduler width.
 void winograd_conv3x3(const float* image, std::size_t in_c, std::size_t h,
                       std::size_t w, const float* weight,
                       std::size_t out_c, std::size_t pad,
                       const float* bias, float* output,
-                      WinogradTile tile = WinogradTile::kF2x2,
-                      bool parallel_ok = false);
+                      WinogradTile tile = WinogradTile::kF2x2);
 
 /// Floats in the transformed filter bank U for the given tile: T*T
 /// transform positions of an (out_c x in_c) matrix each.
@@ -70,7 +69,7 @@ std::size_t winograd_filter_xform_floats(std::size_t in_c,
 /// (winograd_filter_xform_floats floats, position-major — the layout the
 /// transform-domain GEMMs consume). U depends only on the weights, so a
 /// batch loop computes it once and shares it read-only across images
-/// (and pool threads) via winograd_conv3x3_pre.
+/// (and scheduler tasks) via winograd_conv3x3_pre.
 void winograd_transform_filters(const float* weight, std::size_t in_c,
                                 std::size_t out_c, WinogradTile tile,
                                 float* u);
@@ -82,8 +81,7 @@ void winograd_conv3x3_pre(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* u,
                           std::size_t out_c, std::size_t pad,
                           const float* bias, float* output,
-                          WinogradTile tile = WinogradTile::kF2x2,
-                          bool parallel_ok = false);
+                          WinogradTile tile = WinogradTile::kF2x2);
 
 /// Filter gradient in the transform domain, accumulated (+=) into
 /// `dweight` (OC, IC, 3, 3): image (IC, H, W) is the layer input, dout
@@ -93,8 +91,7 @@ void winograd_backward_filter3x3(const float* image, std::size_t in_c,
                                  std::size_t h, std::size_t w,
                                  const float* dout, std::size_t out_c,
                                  std::size_t pad, float* dweight,
-                                 WinogradTile tile = WinogradTile::kF2x2,
-                                 bool parallel_ok = false);
+                                 WinogradTile tile = WinogradTile::kF2x2);
 
 /// Multiplies in the transform domain for a given geometry — used for
 /// flop accounting and the direct-vs-Winograd ablation. Counts one

@@ -131,10 +131,9 @@ void CompiledPlan::build_schedule(bool parallel_levels) {
     Level& lvl = schedule_[static_cast<std::size_t>(level[i])];
     // Nested waits are legal on the scheduler, so every known node kind
     // may run inside a wide-level task. Opaque nodes run a live
-    // extension layer whose forward we cannot inspect: it joins a wide
-    // level only when it opts in via Layer::parallel_ok().
-    if (node.kind == OpKind::kOpaque &&
-        !(node.layer != nullptr && node.layer->parallel_ok())) {
+    // extension layer whose forward we cannot inspect, so they always
+    // run serially.
+    if (node.kind == OpKind::kOpaque) {
       lvl.serial.push_back(i);
     } else {
       lvl.parallel.push_back(i);
@@ -170,11 +169,9 @@ void CompiledPlan::pretune_convs(std::size_t max_batch) {
       continue;
     }
     if (node.algo != nn::ConvAlgo::kAuto) continue;  // forced: no tuning
-    // Every batch bucket the plan will serve. One execution mode exists
-    // now — backends may always fan out (parallel_ok=true), nested
-    // waits being legal — so the bucket is the whole key.
+    // Every batch bucket the plan will serve.
     for (std::size_t bucket = 1; bucket <= top; bucket <<= 1) {
-      cache.plan(node.problem, phase, /*parallel_ok=*/true, bucket);
+      cache.plan(node.problem, phase, bucket);
       ++report_.pretuned_plans;
     }
   }
@@ -281,28 +278,20 @@ CompiledPlan::conv_dispatch(std::size_t id, gemm::ConvPhase phase,
     // First sight of this bucket: one plan-cache resolution, frozen for
     // the plan's lifetime (its weights are frozen clones, and a compiled
     // plan deliberately keeps the backends it was born with).
-    kind_it =
-        d.kind_by_bucket
-            .emplace(key, nn::resolve_conv_backend(node.algo, node.problem,
-                                                   phase,
-                                                   /*parallel_ok=*/true,
-                                                   batch))
-            .first;
+    kind_it = d.kind_by_bucket
+                  .emplace(key, nn::resolve_conv_backend(
+                                    node.algo, node.problem, phase, batch))
+                  .first;
   }
   const gemm::ConvBackend& be = gemm::backend(kind_it->second);
   auto prep_it = d.prep.find(kind_it->second);
   if (prep_it == d.prep.end()) {
     // A node runs exactly one phase (conv: forward, deconv:
     // backward-data), so the per-kind prep is unambiguous.
-    prep_it =
-        d.prep
-            .emplace(kind_it->second,
-                     phase == gemm::ConvPhase::kForward
-                         ? be.prepare_forward(node.problem,
-                                              node.weight.data())
-                         : be.prepare_backward_data(node.problem,
-                                                    node.weight.data()))
-            .first;
+    prep_it = d.prep
+                  .emplace(kind_it->second,
+                           be.prepare(node.problem, phase, node.weight.data()))
+                  .first;
   }
   return {&be, prep_it->second.get()};
 }
@@ -345,10 +334,8 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
       const std::size_t out_img = p.out_c * p.geom.lowered_cols();
       const auto one_image = [&](std::size_t img) {
         float* out = dst + img * out_img;
-        dispatch.first->forward_prepared(p, dispatch.second,
-                                         src + img * in_img,
-                                         node.weight.data(), bias, out,
-                                         /*parallel_ok=*/true);
+        dispatch.first->forward(p, dispatch.second, src + img * in_img,
+                                node.weight.data(), bias, out);
         apply_epilogue(node.epilogue, out, out_img);
       };
       if (batch <= 1) {
@@ -360,8 +347,8 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
     }
     case OpKind::kDeconv: {
       const gemm::ConvProblem& p = node.problem;
-      // The rotated/transformed filter bank is prepared once per backend
-      // (prepare_backward_data), not per image.
+      // The rotated/transformed filter bank is prepared once per backend,
+      // not per image.
       const std::pair<const gemm::ConvBackend*, const gemm::ConvPrep*>
           dispatch =
               conv_dispatch(id, gemm::ConvPhase::kBackwardData, batch);
@@ -371,10 +358,8 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
       const std::size_t plane = p.geom.in_h * p.geom.in_w;
       const auto one_image = [&](std::size_t img) {
         float* out = dst + img * out_img;
-        dispatch.first->backward_data_prepared(p, dispatch.second,
-                                               src + img * in_img,
-                                               node.weight.data(), out,
-                                               /*parallel_ok=*/true);
+        dispatch.first->backward_data(p, dispatch.second, src + img * in_img,
+                                      node.weight.data(), out);
         if (node.bias.defined()) {
           for (std::size_t oc = 0; oc < out_c; ++oc) {
             const float b = node.bias.at(oc);

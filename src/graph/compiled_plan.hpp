@@ -17,8 +17,9 @@
 // with the batch), convolution epilogues apply fused bias/activation
 // while the output image is cache-hot, and weight-only transforms
 // (Winograd's forward U and backward-data rotated bank) are hoisted out
-// of the batch loop via ConvBackend::prepare_forward /
-// prepare_backward_data. Execution is *level-scheduled*: nodes are
+// of the batch loop via ConvBackend::prepare — the same backend entry
+// points the eager Conv2d/Deconv2d layers call, in the same single
+// execution mode. Execution is *level-scheduled*: nodes are
 // grouped by DAG level (graph.hpp's levels()), levels run in order with
 // a barrier between them (a TaskSync continuation barrier — the waiting
 // thread helps execute), and when a level holds several independent
@@ -27,8 +28,8 @@
 // is legal on the scheduler, so node×batch product parallelism falls
 // out: each node task fans its batch across per-image child tasks, and
 // each conv backend may fan out further beneath (Winograd
-// transform-domain GEMMs, parallel im2col) — parallel_ok=true all the
-// way down. Per-level barriers keep the schedule deterministic: every
+// transform-domain GEMMs, parallel im2col) all the way down. Per-level
+// barriers keep the schedule deterministic: every
 // node reads fully-written buffers regardless of how its level was
 // scheduled, and every node runs arithmetic identical to the serial
 // schedule (bit-exact outputs either way).
@@ -37,9 +38,9 @@
 // re-entrant: one plan per serving replica, exactly like the eager
 // nn::Sequential it replaces. Plans with opaque nodes (unknown
 // extensions) borrow the source network's layers and are only valid
-// while that network lives; an opaque node joins a wide level only when
-// its layer opts in via Layer::parallel_ok() (the layer's forward must
-// tolerate running inside a scheduler task alongside other nodes).
+// while that network lives; an opaque node never joins a wide level — it
+// runs serially between the level's parallel nodes, so a layer whose
+// forward cannot be inspected never shares a level with other tasks.
 #pragma once
 
 #include <cstddef>
@@ -91,7 +92,7 @@ struct CompileReport {
   std::size_t max_level_width = 0;
   /// Nodes scheduled inside wide (>1 node) levels — the node-level
   /// concurrency the parallel executor actually exploits. Opaque nodes
-  /// count only when their layer opts in via Layer::parallel_ok().
+  /// never count: they always run serially.
   std::size_t wide_level_nodes = 0;
   /// Arena extent vs what eager execution keeps resident (per sample,
   /// floats). arena < eager is the planner's reuse win.
@@ -145,9 +146,8 @@ class CompiledPlan {
   /// the backend's prepared weight transform (Winograd's U, forward or
   /// backward-data) are resolved once and reused — run() never touches
   /// the plan-cache mutex or recomputes a filter transform after first
-  /// sight. Nested waits are legal on the scheduler, so every plan is
-  /// resolved with parallel_ok=true (no serial execution mode exists
-  /// any more); the bucket is the whole key.
+  /// sight. A node runs exactly one phase (conv: forward, deconv:
+  /// backward-data), so the bucket is the whole key.
   struct ConvDispatch {
     std::map<std::size_t, gemm::ConvBackendKind> kind_by_bucket;
     std::map<gemm::ConvBackendKind, std::unique_ptr<gemm::ConvPrep>> prep;
@@ -179,9 +179,8 @@ class CompiledPlan {
   /// Result-tensor index an external node produces into; -1 otherwise.
   std::vector<int> output_slot_;
   /// Level schedule: per level, the work nodes that may run concurrently
-  /// as scheduler tasks and those that must run serially (opaque nodes
-  /// whose layer did not opt in via Layer::parallel_ok()). Splits are
-  /// not scheduled at all.
+  /// as scheduler tasks and those that must run serially (opaque nodes).
+  /// Splits are not scheduled at all.
   struct Level {
     std::vector<std::size_t> parallel;
     std::vector<std::size_t> serial;

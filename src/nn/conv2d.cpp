@@ -14,7 +14,6 @@ using gemm::ConvPhase;
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            ConvPhase phase,
-                                           bool parallel_ok,
                                            std::size_t batch) {
   gemm::ConvBackendKind forced = gemm::ConvBackendKind::kIm2col;
   switch (algo) {
@@ -23,19 +22,14 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
     case ConvAlgo::kWinograd:
       forced = gemm::ConvBackendKind::kWinograd;
       break;
-    case ConvAlgo::kFft:
-      forced = gemm::ConvBackendKind::kFft;
-      break;
     case ConvAlgo::kDirect:
       forced = gemm::ConvBackendKind::kDirect;
       break;
     case ConvAlgo::kAuto:
       // kAuto: every applicable backend races once per (problem, phase,
-      // execution mode, batch bucket) and the measured winner is
-      // remembered — across processes, through the persisted plan cache.
-      return gemm::ConvPlanCache::global()
-          .plan(p, phase, parallel_ok, batch)
-          .kind;
+      // batch bucket) and the measured winner is remembered — across
+      // processes, through the persisted plan cache.
+      return gemm::ConvPlanCache::global().plan(p, phase, batch).kind;
   }
   // A forced backend that declines this phase falls back to the
   // always-applicable im2col adjoint; the layers' backend query
@@ -49,13 +43,11 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
 gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            ConvPhase phase,
-                                           bool parallel_ok,
                                            std::size_t batch) {
   if (algo != ConvAlgo::kAuto) {
-    return resolve_conv_backend(algo, p, phase, parallel_ok, batch);
+    return resolve_conv_backend(algo, p, phase, batch);
   }
-  const auto cached =
-      gemm::ConvPlanCache::global().lookup(p, phase, parallel_ok, batch);
+  const auto cached = gemm::ConvPlanCache::global().lookup(p, phase, batch);
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
 }
 
@@ -141,24 +133,15 @@ gemm::ConvProblem Conv2d::problem(const Shape& in) const {
   return p;
 }
 
-gemm::ConvBackendKind Conv2d::resolve_backend(const Shape& in,
-                                              ConvPhase phase,
-                                              bool parallel_ok) const {
-  return resolve_conv_backend(cfg_.algo, problem(in), phase, parallel_ok,
-                              in.n());
-}
-
 gemm::ConvBackendKind Conv2d::forward_backend(const Shape& in) const {
-  // Nested waits are legal on the task scheduler, so backends may fan
-  // out internally even under the batch-parallel loop: one execution
-  // mode, parallel_ok=true everywhere on the hot path.
-  return resolve_backend(in, ConvPhase::kForward, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), ConvPhase::kForward,
+                              in.n());
 }
 
 gemm::ConvBackendKind Conv2d::backward_backend(const Shape& in,
                                                ConvPhase phase) const {
   PF15_CHECK(phase != ConvPhase::kForward);
-  return resolve_backend(in, phase, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), phase, in.n());
 }
 
 Shape Conv2d::output_shape(const Shape& in) const {
@@ -183,14 +166,13 @@ void Conv2d::forward(const Tensor& in, Tensor& out) {
   // Weight-only work (Winograd's filter transform) hoists out of the
   // batch loop: computed once here, shared read-only by every image.
   const std::unique_ptr<gemm::ConvPrep> prep =
-      be.prepare_forward(p, weight_.data());
+      be.prepare(p, ConvPhase::kForward, weight_.data());
   // Per-image work (lowering, transforms, per-image GEMM) spreads across
   // the scheduler; each image's backend may fan out further beneath it
   // (nested waits are legal — the outer chunks' wait helps).
   TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
-    be.forward_prepared(p, prep.get(), in.data() + img * in_img,
-                        weight_.data(), bias, out.data() + img * out_img,
-                        /*parallel_ok=*/true);
+    be.forward(p, prep.get(), in.data() + img * in_img, weight_.data(), bias,
+               out.data() + img * out_img);
   });
 }
 
@@ -206,18 +188,16 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   // Data gradient: independent per image, so it fans across the pool
   // exactly like forward. The backend overwrites each din image.
   // Weight-only work (Winograd's rotated/transformed filter bank) hoists
-  // out of the batch loop, mirroring the prepare_forward hoist.
+  // out of the batch loop, mirroring the forward hoist.
   const gemm::ConvBackendKind dkind =
       backward_backend(in.shape(), ConvPhase::kBackwardData);
   const gemm::ConvBackend& dbe = gemm::backend(dkind);
   last_backward_data_backend_ = dkind;
   const std::unique_ptr<gemm::ConvPrep> dprep =
-      dbe.prepare_backward_data(p, weight_.data());
+      dbe.prepare(p, ConvPhase::kBackwardData, weight_.data());
   TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
-    dbe.backward_data_prepared(p, dprep.get(),
-                               dout.data() + img * out_img,
-                               weight_.data(), din.data() + img * in_img,
-                               /*parallel_ok=*/true);
+    dbe.backward_data(p, dprep.get(), dout.data() + img * out_img,
+                      weight_.data(), din.data() + img * in_img);
   });
 
   // Filter gradient: accumulates into the shared weight_grad_, so the
@@ -232,8 +212,7 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
       weight_grad_.numel(), bias_grad_.data(), cfg_.bias ? p.out_c : 0,
       [&](std::size_t img, float* dw, float* db) {
         const float* dout_img = dout.data() + img * out_img;
-        fbe.backward_filter(p, in.data() + img * in_img, dout_img, dw,
-                            /*parallel_ok=*/true);
+        fbe.backward_filter(p, in.data() + img * in_img, dout_img, dw);
         if (cfg_.bias) {
           for (std::size_t oc = 0; oc < p.out_c; ++oc) {
             double s = 0.0;
@@ -254,8 +233,8 @@ std::vector<Param> Conv2d::params() {
 
 std::uint64_t Conv2d::forward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind kind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kForward, /*parallel_ok=*/true, in.n());
+  const gemm::ConvBackendKind kind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kForward, in.n());
   const gemm::ConvBackend& be = gemm::backend(kind);
   return in.n() * (be.flops(p) +
                    (cfg_.bias ? p.geom.lowered_cols() * cfg_.out_channels
@@ -264,12 +243,10 @@ std::uint64_t Conv2d::forward_flops(const Shape& in) const {
 
 std::uint64_t Conv2d::backward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind dkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardData, /*parallel_ok=*/true,
-      in.n());
-  const gemm::ConvBackendKind fkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardFilter, /*parallel_ok=*/true,
-      in.n());
+  const gemm::ConvBackendKind dkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardData, in.n());
+  const gemm::ConvBackendKind fkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardFilter, in.n());
   const std::uint64_t per_img =
       gemm::backend(dkind).flops(p, ConvPhase::kBackwardData) +
       gemm::backend(fkind).flops(p, ConvPhase::kBackwardFilter) +

@@ -2,7 +2,7 @@
 // Weight layout is OIHW; bias is per output channel.
 //
 // Forward *and* backward dispatch through the gemm::ConvBackend registry:
-// im2col+GEMM, Winograd F(2x2/4x4,3x3), FFT, or direct loops. kAuto
+// im2col+GEMM, Winograd F(2x2/4x4,3x3), or direct loops. kAuto
 // consults the process-wide gemm::ConvPlanCache, which micro-benchmarks
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
@@ -11,8 +11,8 @@
 // the global task scheduler: forward and backward-data per image, the
 // accumulating filter gradient per fixed image chunk with an ordered
 // fold (reduce_filter_grad). Backends may fan out further beneath each
-// image — nested waits are legal on the scheduler, so parallel_ok is true
-// throughout the hot path.
+// image — nested waits are legal on the scheduler. Weight-only work
+// (ConvBackend::prepare) is done once per call, before the batch loop.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +25,13 @@
 
 namespace pf15::nn {
 
-/// Algorithm selection. kIm2col/kWinograd/kFft/kDirect force one
+/// Algorithm selection. kIm2col/kWinograd/kDirect force one
 /// gemm::ConvBackend (construction PF15_CHECKs applicability for
-/// Winograd; FFT/direct apply everywhere); kAuto lets the autotune plan
+/// Winograd; direct applies everywhere); kAuto lets the autotune plan
 /// cache pick per (geometry, phase). A forced backend that declines a
 /// phase falls back to the im2col adjoint there — the
 /// fallback is explicit via backward_backend(), never silent.
-enum class ConvAlgo { kIm2col, kWinograd, kAuto, kFft, kDirect };
+enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect };
 
 struct Conv2dConfig {
   std::size_t in_channels = 0;
@@ -47,12 +47,11 @@ struct Conv2dConfig {
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
 /// declines it, and kAuto asks the global plan cache —
-/// tuning on first sight in the given execution mode and batch bucket
+/// tuning on first sight in the given batch bucket
 /// (gemm::conv_batch_bucket of the layer's batch dimension).
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            gemm::ConvPhase phase,
-                                           bool parallel_ok,
                                            std::size_t batch = 1);
 
 /// Like resolve_conv_backend but guaranteed never to tune: kAuto
@@ -62,7 +61,6 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
 gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            gemm::ConvPhase phase,
-                                           bool parallel_ok,
                                            std::size_t batch = 1);
 
 /// Batch split of the filter gradient. A batch whose filter-gradient
@@ -128,11 +126,6 @@ class Conv2d final : public Layer {
  private:
   gemm::ConvGeom geom(const Shape& in) const;
   gemm::ConvProblem problem(const Shape& in) const;
-  /// Resolves cfg_.algo / the plan cache for one phase. `parallel_ok`
-  /// selects the execution mode the plan must be tuned in.
-  gemm::ConvBackendKind resolve_backend(const Shape& in,
-                                        gemm::ConvPhase phase,
-                                        bool parallel_ok) const;
 
   std::string name_;
   Conv2dConfig cfg_;

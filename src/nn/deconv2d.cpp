@@ -57,18 +57,9 @@ gemm::ConvProblem Deconv2d::problem(const Shape& in) const {
   return p;
 }
 
-gemm::ConvBackendKind Deconv2d::resolve_backend(const Shape& in,
-                                                ConvPhase phase,
-                                                bool parallel_ok) const {
-  return resolve_conv_backend(cfg_.algo, problem(in), phase, parallel_ok,
-                              in.n());
-}
-
 gemm::ConvBackendKind Deconv2d::phase_backend(const Shape& in,
                                               ConvPhase phase) const {
-  // One execution mode: nested waits are legal on the task scheduler,
-  // so backends may always fan out internally.
-  return resolve_backend(in, phase, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), phase, in.n());
 }
 
 Shape Deconv2d::output_shape(const Shape& in) const {
@@ -93,11 +84,10 @@ void Deconv2d::forward(const Tensor& in, Tensor& out) {
   // out of the batch loop — the decoder's stride-2 deconvs never hit it,
   // but 3x3 stride-1 upsampling heads do.
   const std::unique_ptr<gemm::ConvPrep> prep =
-      be.prepare_backward_data(p, weight_.data());
+      be.prepare(p, ConvPhase::kBackwardData, weight_.data());
   const auto one_image = [&](std::size_t img) {
-    be.backward_data_prepared(p, prep.get(), in.data() + img * in_img,
-                              weight_.data(), out.data() + img * out_img,
-                              /*parallel_ok=*/true);
+    be.backward_data(p, prep.get(), in.data() + img * in_img, weight_.data(),
+                     out.data() + img * out_img);
     if (cfg_.bias) {
       float* dst = out.data() + img * out_img;
       const std::size_t plane = p.geom.in_h * p.geom.in_w;
@@ -128,9 +118,11 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const gemm::ConvBackendKind dkind =
       phase_backend(in.shape(), ConvPhase::kForward);
   const gemm::ConvBackend& dbe = gemm::backend(dkind);
+  const std::unique_ptr<gemm::ConvPrep> dprep =
+      dbe.prepare(p, ConvPhase::kForward, weight_.data());
   TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
-    dbe.forward(p, dout.data() + img * out_img, weight_.data(), nullptr,
-                din.data() + img * in_img, /*parallel_ok=*/true);
+    dbe.forward(p, dprep.get(), dout.data() + img * out_img, weight_.data(),
+                nullptr, din.data() + img * in_img);
   });
 
   // dW == conv backward-filter with the conv's (image, dout) =
@@ -146,8 +138,7 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
       cfg_.bias ? cfg_.out_channels : 0,
       [&](std::size_t img, float* dw, float* db) {
         const float* dout_img = dout.data() + img * out_img;
-        fbe.backward_filter(p, dout_img, in.data() + img * in_img, dw,
-                            /*parallel_ok=*/true);
+        fbe.backward_filter(p, dout_img, in.data() + img * in_img, dw);
         if (cfg_.bias) {
           for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
             double s = 0.0;
@@ -169,7 +160,7 @@ std::vector<Param> Deconv2d::params() {
 std::uint64_t Deconv2d::forward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
   const gemm::ConvBackendKind kind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardData, true, in.n());
+      cfg_.algo, p, ConvPhase::kBackwardData, in.n());
   const std::uint64_t per_img =
       gemm::backend(kind).flops(p, ConvPhase::kBackwardData) +
       (cfg_.bias ? cfg_.out_channels * p.geom.in_h * p.geom.in_w : 0);
@@ -179,9 +170,9 @@ std::uint64_t Deconv2d::forward_flops(const Shape& in) const {
 std::uint64_t Deconv2d::backward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
   const gemm::ConvBackendKind dkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kForward, true, in.n());
+      cfg_.algo, p, ConvPhase::kForward, in.n());
   const gemm::ConvBackendKind fkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardFilter, true, in.n());
+      cfg_.algo, p, ConvPhase::kBackwardFilter, in.n());
   const std::uint64_t per_img =
       gemm::backend(dkind).flops(p, ConvPhase::kForward) +
       gemm::backend(fkind).flops(p, ConvPhase::kBackwardFilter) +

@@ -60,9 +60,6 @@ class Deconv2d final : public Layer {
   /// output: out_h = (in_h - 1) * stride + kernel - 2 * pad.
   gemm::ConvGeom geom(const Shape& in) const;
   gemm::ConvProblem problem(const Shape& in) const;
-  gemm::ConvBackendKind resolve_backend(const Shape& in,
-                                        gemm::ConvPhase phase,
-                                        bool parallel_ok) const;
 
   std::string name_;
   Deconv2dConfig cfg_;

@@ -8,6 +8,11 @@
 // Gradient semantics: backward *accumulates* (+=) into parameter gradient
 // tensors; the solver/trainer zeroes them between iterations. This is what
 // lets a compute group process several micro-batches before one reduction.
+//
+// Internal parallelism goes through TaskScheduler::global() (see
+// for_each_grain below); nested waits are legal there. A layer the graph
+// compiler cannot lower to a known op kind becomes an opaque node, which
+// always runs serially between the compiled plan's levels.
 #pragma once
 
 #include <algorithm>
@@ -72,17 +77,6 @@ class Layer {
   /// when any child does. The graph compiler uses this to name the
   /// offending layer when refusing a training-mode capture.
   virtual bool training() const { return false; }
-
-  /// Opt-in for the compiled executor's wide levels: return true when
-  /// forward() may run inside a task of common::task_scheduler,
-  /// concurrently with other graph nodes. The contract: forward must not
-  /// touch state shared with other layers, and any internal parallelism
-  /// must go through the task scheduler (TaskScheduler / ThreadPool
-  /// parallel_for — nested waits are legal there) rather than blocking
-  /// on primitives the scheduler cannot help with. Layers the compiler
-  /// lowers to known kinds never consult this; it only gates *opaque*
-  /// extension nodes, which otherwise schedule serially between levels.
-  virtual bool parallel_ok() const { return false; }
 
   /// Analytic FLOP counts (the §V accounting). Counts multiply-adds as two
   /// FLOPs; elementwise ops as one per element.

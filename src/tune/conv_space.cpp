@@ -42,8 +42,9 @@ gemm::ConvBackendKind decode_backend(const Config& config) {
   PF15_CHECK_MSG(it != config.end(),
                  "config lacks a '" << kConvBackendDim << "' dimension");
   const int raw = static_cast<int>(std::lround(it->second));
-  PF15_CHECK_MSG(raw >= 0 && raw <= 3, "backend code " << raw
-                                                       << " out of range");
+  PF15_CHECK_MSG(
+      raw >= 0 && raw <= static_cast<int>(gemm::ConvBackendKind::kDirect),
+      "backend code " << raw << " out of range");
   return static_cast<gemm::ConvBackendKind>(raw);
 }
 

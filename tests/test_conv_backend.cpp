@@ -123,13 +123,12 @@ std::vector<float> reference_backward_filter(
 
 // ---- registry --------------------------------------------------------------
 
-TEST(ConvBackendRegistry, AllFourKindsRegistered) {
+TEST(ConvBackendRegistry, AllThreeKindsRegistered) {
   const auto& table = gemm::all_backends();
-  ASSERT_EQ(table.size(), 4u);
+  ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table[0]->kind(), ConvBackendKind::kIm2col);
   EXPECT_EQ(table[1]->kind(), ConvBackendKind::kWinograd);
-  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kFft);
-  EXPECT_EQ(table[3]->kind(), ConvBackendKind::kDirect);
+  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kDirect);
   for (const auto* b : table) {
     EXPECT_EQ(&gemm::backend(b->kind()), b);
   }
@@ -167,27 +166,6 @@ TEST(ConvBackendRegistry, WinogradApplicabilityIs3x3Stride1) {
   }
 }
 
-TEST(ConvBackendRegistry, FftCoversEveryPhaseOnSquareProblems) {
-  const auto& fft = gemm::backend(ConvBackendKind::kFft);
-  const gemm::ConvProblem p = make_problem(2, 3, 8, 3, 1, 1);
-  for (const ConvPhase phase : gemm::kAllConvPhases) {
-    EXPECT_TRUE(fft.applicable(p, phase));
-  }
-  // The spectral path assumes one transform grid: anisotropic geometry
-  // (non-square kernel, stride or pad) is declined in every phase.
-  gemm::ConvProblem aniso = p;
-  aniso.geom.kernel_h = 5;
-  for (const ConvPhase phase : gemm::kAllConvPhases) {
-    EXPECT_FALSE(fft.applicable(aniso, phase));
-  }
-  aniso = p;
-  aniso.geom.stride_w = 2;
-  EXPECT_FALSE(fft.applicable(aniso, ConvPhase::kBackwardData));
-  aniso = p;
-  aniso.geom.pad_w = 2;
-  EXPECT_FALSE(fft.applicable(aniso, ConvPhase::kBackwardFilter));
-}
-
 TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
   const auto& winograd = gemm::backend(ConvBackendKind::kWinograd);
   EXPECT_TRUE(winograd.applicable(make_problem(2, 3, 8, 3, 1, 1),
@@ -206,20 +184,14 @@ TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
 TEST(ConvBackendRegistry, ApplicableBackendsFilters) {
   const auto for_5x5 =
       gemm::applicable_backends(make_problem(2, 3, 9, 5, 2, 2));
-  ASSERT_EQ(for_5x5.size(), 3u);  // everyone but Winograd
+  ASSERT_EQ(for_5x5.size(), 2u);  // everyone but Winograd
   const auto for_3x3 =
       gemm::applicable_backends(make_problem(2, 3, 9, 3, 1, 1));
-  EXPECT_EQ(for_3x3.size(), 4u);
-  // Backward: the full field stays in the race — FFT included — so the
-  // autotuner can pick a spectral backward plan where it wins.
+  EXPECT_EQ(for_3x3.size(), 3u);
+  // Backward: the full field stays in the race.
   const auto bwd_3x3 = gemm::applicable_backends(
       make_problem(2, 3, 9, 3, 1, 1), ConvPhase::kBackwardData);
-  ASSERT_EQ(bwd_3x3.size(), 4u);
-  bool fft_races = false;
-  for (const auto* b : bwd_3x3) {
-    fft_races = fft_races || b->kind() == ConvBackendKind::kFft;
-  }
-  EXPECT_TRUE(fft_races);
+  ASSERT_EQ(bwd_3x3.size(), 3u);
 }
 
 // ---- numerical agreement ---------------------------------------------------
@@ -240,8 +212,8 @@ TEST_P(BackendAgreement, ForwardMatchesReferenceTo1e4) {
       reference_conv(p, ops.image, ops.weight, ops.bias);
   for (const gemm::ConvBackend* b : gemm::applicable_backends(p)) {
     std::vector<float> out(ref.size(), -77.0f);
-    b->forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
-               out.data(), /*parallel_ok=*/false);
+    b->forward(p, nullptr, ops.image.data(), ops.weight.data(),
+               ops.bias.data(), out.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(out[i], ref[i], 1e-4f) << b->name() << " element " << i;
     }
@@ -259,8 +231,8 @@ TEST_P(BackendAgreement, BackwardDataMatchesIm2colAdjoint) {
   for (const gemm::ConvBackend* b :
        gemm::applicable_backends(p, ConvPhase::kBackwardData)) {
     std::vector<float> din(ref.size(), -77.0f);
-    b->backward_data(p, ops.dout.data(), ops.weight.data(), din.data(),
-                     /*parallel_ok=*/false);
+    b->backward_data(p, nullptr, ops.dout.data(), ops.weight.data(),
+                     din.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(din[i], ref[i], 1e-4f) << b->name() << " element " << i;
     }
@@ -279,8 +251,7 @@ TEST_P(BackendAgreement, BackwardFilterAccumulatesIm2colAdjoint) {
        gemm::applicable_backends(p, ConvPhase::kBackwardFilter)) {
     // Pre-seed dweight to verify the += accumulation contract.
     std::vector<float> dw(ref.size(), 0.25f);
-    b->backward_filter(p, ops.image.data(), ops.dout.data(), dw.data(),
-                       /*parallel_ok=*/false);
+    b->backward_filter(p, ops.image.data(), ops.dout.data(), dw.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(dw[i] - 0.25f, ref[i], 2e-4f)
           << b->name() << " element " << i;
@@ -335,7 +306,7 @@ TEST(WinogradTiles, BothTilesMatchReferenceAcrossSizesAndPads) {
 }
 
 TEST(ConvBackendPrep, WinogradPreparedBackwardDataMatchesUnprepared) {
-  // prepare_backward_data hoists the rotated/transformed filter bank out
+  // prepare(kBackwardData) hoists the rotated/transformed filter bank out
   // of the batch loop; the prepared path must reproduce the per-image
   // path exactly (same transform-domain arithmetic, just precomputed),
   // across pads 0..2 and both tile regimes.
@@ -346,15 +317,14 @@ TEST(ConvBackendPrep, WinogradPreparedBackwardDataMatchesUnprepared) {
       ASSERT_TRUE(winograd.applicable(p, ConvPhase::kBackwardData));
       const ConvOperands ops = random_operands(p, 0xb4dd ^ (h * 10 + pad));
       std::vector<float> plain(p.geom.in_c * h * h, -9.0f);
-      winograd.backward_data(p, ops.dout.data(), ops.weight.data(),
-                             plain.data(), /*parallel_ok=*/false);
-      const std::unique_ptr<gemm::ConvPrep> prep =
-          winograd.prepare_backward_data(p, ops.weight.data());
+      winograd.backward_data(p, nullptr, ops.dout.data(), ops.weight.data(),
+                             plain.data());
+      const std::unique_ptr<gemm::ConvPrep> prep = winograd.prepare(
+          p, ConvPhase::kBackwardData, ops.weight.data());
       ASSERT_NE(prep, nullptr);
       std::vector<float> prepared(plain.size(), 9.0f);
-      winograd.backward_data_prepared(p, prep.get(), ops.dout.data(),
-                                      ops.weight.data(), prepared.data(),
-                                      /*parallel_ok=*/false);
+      winograd.backward_data(p, prep.get(), ops.dout.data(),
+                             ops.weight.data(), prepared.data());
       for (std::size_t i = 0; i < plain.size(); ++i) {
         ASSERT_EQ(prepared[i], plain[i])
             << "h=" << h << " pad=" << pad << " element " << i;
@@ -372,18 +342,20 @@ TEST(ConvBackendPrep, WinogradPreparedBackwardDataMatchesUnprepared) {
 
 TEST(ConvBackendPrep, BackendsWithoutBackwardPrepFallBack) {
   // The base contract: null prep is allowed and means "no prep" — the
-  // im2col adjoint has nothing to precompute, and the prepared entry
-  // point must still compute the exact same gradient.
+  // im2col adjoint has nothing to precompute, and the call with its
+  // (null) prep must still compute the exact same gradient.
   const auto& im2col = gemm::backend(gemm::ConvBackendKind::kIm2col);
   const gemm::ConvProblem p = make_problem(2, 3, 7, 3, 1, 1);
   const ConvOperands ops = random_operands(p, 0xfa11);
-  EXPECT_EQ(im2col.prepare_backward_data(p, ops.weight.data()), nullptr);
+  const std::unique_ptr<gemm::ConvPrep> prep =
+      im2col.prepare(p, ConvPhase::kBackwardData, ops.weight.data());
+  EXPECT_EQ(prep, nullptr);
   std::vector<float> plain(p.geom.in_c * 7 * 7, 0.0f);
-  im2col.backward_data(p, ops.dout.data(), ops.weight.data(), plain.data(),
-                       false);
+  im2col.backward_data(p, nullptr, ops.dout.data(), ops.weight.data(),
+                       plain.data());
   std::vector<float> prepared(plain.size(), 1.0f);
-  im2col.backward_data_prepared(p, nullptr, ops.dout.data(),
-                                ops.weight.data(), prepared.data(), false);
+  im2col.backward_data(p, prep.get(), ops.dout.data(), ops.weight.data(),
+                       prepared.data());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     ASSERT_EQ(prepared[i], plain[i]) << "element " << i;
   }
@@ -438,10 +410,11 @@ TEST(Autotune, BenchmarkRejectsInapplicableBackend) {
       gemm::benchmark_backend(gemm::backend(ConvBackendKind::kWinograd),
                               strided, fast_tune()),
       "not applicable");
-  gemm::ConvProblem aniso = make_problem(2, 2, 8, 3, 1, 1);
-  aniso.geom.pad_w = 2;  // anisotropic pad: FFT declines every phase
+  // Phase-specific applicability: Winograd runs pad 3 forward but
+  // declines its backward-data.
+  const gemm::ConvProblem pad3 = make_problem(2, 2, 8, 3, 1, 3);
   PF15_EXPECT_CHECK_FAIL(
-      gemm::benchmark_backend(gemm::backend(ConvBackendKind::kFft), aniso,
+      gemm::benchmark_backend(gemm::backend(ConvBackendKind::kWinograd), pad3,
                               fast_tune(), ConvPhase::kBackwardData),
       "not applicable");
 }
@@ -523,36 +496,32 @@ TEST(PlanCache, RaggedBatchesReuseTheFullBatchPlan) {
   gemm::ConvPlanCache cache(fast_tune());
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
   // Tune once at the full serving batch of 16...
-  cache.plan(p, ConvPhase::kForward, /*parallel_ok=*/false, /*batch=*/16);
+  cache.plan(p, ConvPhase::kForward, /*batch=*/16);
   EXPECT_EQ(cache.misses(), 1u);
   // ...then every ragged batch in (8, 16] lands in the same bucket.
   for (std::size_t ragged : {9u, 13u, 15u, 16u}) {
-    cache.plan(p, ConvPhase::kForward, false, ragged);
+    cache.plan(p, ConvPhase::kForward, ragged);
   }
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 4u);
   // A different bucket is a different key (it may tune differently).
-  EXPECT_FALSE(
-      cache.lookup(p, ConvPhase::kForward, false, /*batch=*/4).has_value());
-  cache.plan(p, ConvPhase::kForward, false, 4);
+  EXPECT_FALSE(cache.lookup(p, ConvPhase::kForward, /*batch=*/4).has_value());
+  cache.plan(p, ConvPhase::kForward, 4);
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(PlanCache, InsertAppliesToEveryModeAndBucket) {
+TEST(PlanCache, InsertAppliesToEveryBucket) {
   gemm::ConvPlanCache cache(fast_tune());
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
   gemm::ConvPlan forced;
   forced.kind = ConvBackendKind::kDirect;
   cache.insert(p, forced);
-  for (const bool parallel_ok : {false, true}) {
-    for (const std::size_t batch : {1u, 8u, 64u}) {
-      const auto found =
-          cache.lookup(p, ConvPhase::kForward, parallel_ok, batch);
-      ASSERT_TRUE(found.has_value());
-      EXPECT_EQ(found->kind, ConvBackendKind::kDirect);
-      EXPECT_EQ(cache.plan(p, ConvPhase::kForward, parallel_ok, batch).kind,
-                ConvBackendKind::kDirect);
-    }
+  for (const std::size_t batch : {1u, 8u, 64u}) {
+    const auto found = cache.lookup(p, ConvPhase::kForward, batch);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->kind, ConvBackendKind::kDirect);
+    EXPECT_EQ(cache.plan(p, ConvPhase::kForward, batch).kind,
+              ConvBackendKind::kDirect);
   }
   EXPECT_EQ(cache.misses(), 0u);
 }
@@ -560,16 +529,16 @@ TEST(PlanCache, InsertAppliesToEveryModeAndBucket) {
 TEST(PlanCache, DumpLoadDocumentRoundTrip) {
   gemm::ConvPlanCache cache(fast_tune());
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
-  cache.plan(p, ConvPhase::kForward, false, /*batch=*/8);
-  cache.plan(p, ConvPhase::kForward, true, /*batch=*/1);
+  cache.plan(p, ConvPhase::kForward, /*batch=*/8);
+  cache.plan(p, ConvPhase::kForward, /*batch=*/1);
   const std::string doc = cache.dump();
 
   gemm::ConvPlanCache fresh(fast_tune());
   fresh.load_document(doc, "test");
   EXPECT_EQ(fresh.size(), 2u);
-  // Warm for the exact (mode, bucket) keys that were dumped.
-  fresh.plan(p, ConvPhase::kForward, false, 8);
-  fresh.plan(p, ConvPhase::kForward, true, 1);
+  // Warm for the exact bucket keys that were dumped.
+  fresh.plan(p, ConvPhase::kForward, 8);
+  fresh.plan(p, ConvPhase::kForward, 1);
   EXPECT_EQ(fresh.misses(), 0u);
   EXPECT_EQ(fresh.hits(), 2u);
 
@@ -592,14 +561,13 @@ TEST(PreparedForward, WinogradPrepMatchesPlainForwardBothTiles) {
     ASSERT_TRUE(wino.applicable(p));
     const std::size_t out_n = p.out_c * p.geom.lowered_cols();
     std::vector<float> plain(out_n, -1.0f), prepped(out_n, -2.0f);
-    wino.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
-                 plain.data(), /*parallel_ok=*/false);
+    wino.forward(p, nullptr, ops.image.data(), ops.weight.data(),
+                 ops.bias.data(), plain.data());
     const std::unique_ptr<gemm::ConvPrep> prep =
-        wino.prepare_forward(p, ops.weight.data());
+        wino.prepare(p, ConvPhase::kForward, ops.weight.data());
     ASSERT_NE(prep, nullptr);
-    wino.forward_prepared(p, prep.get(), ops.image.data(),
-                          ops.weight.data(), ops.bias.data(), prepped.data(),
-                          /*parallel_ok=*/false);
+    wino.forward(p, prep.get(), ops.image.data(), ops.weight.data(),
+                 ops.bias.data(), prepped.data());
     for (std::size_t i = 0; i < out_n; ++i) {
       EXPECT_EQ(plain[i], prepped[i]) << "element " << i << " hw " << hw;
     }
@@ -610,13 +578,15 @@ TEST(PreparedForward, BackendsWithoutPrepFallBackToPlainForward) {
   const gemm::ConvProblem p = make_problem(2, 3, 6, 3, 1, 1);
   const ConvOperands ops = random_operands(p, 0xabcdu);
   const gemm::ConvBackend& im2col = gemm::backend(ConvBackendKind::kIm2col);
-  EXPECT_EQ(im2col.prepare_forward(p, ops.weight.data()), nullptr);
+  const std::unique_ptr<gemm::ConvPrep> prep =
+      im2col.prepare(p, ConvPhase::kForward, ops.weight.data());
+  EXPECT_EQ(prep, nullptr);
   const std::size_t out_n = p.out_c * p.geom.lowered_cols();
   std::vector<float> plain(out_n), prepped(out_n);
-  im2col.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
-                 plain.data(), false);
-  im2col.forward_prepared(p, nullptr, ops.image.data(), ops.weight.data(),
-                          ops.bias.data(), prepped.data(), false);
+  im2col.forward(p, nullptr, ops.image.data(), ops.weight.data(),
+                 ops.bias.data(), plain.data());
+  im2col.forward(p, prep.get(), ops.image.data(), ops.weight.data(),
+                 ops.bias.data(), prepped.data());
   for (std::size_t i = 0; i < out_n; ++i) EXPECT_EQ(plain[i], prepped[i]);
 }
 
@@ -737,6 +707,31 @@ TEST(PlanCachePersistence, CorruptFileIsRejectedWithIoError) {
   gemm::ConvPlanCache cache(fast_tune());
   EXPECT_THROW(cache.load(path), IoError);
   EXPECT_EQ(cache.size(), 0u);
+
+  // Numeric fields are untrusted too: a negative, fractional, infinite or
+  // beyond-2^53 size must be a typed error, not an undefined cast.
+  gemm::ConvPlanCache tuned(fast_tune());
+  tuned.plan(make_problem(2, 3, 10, 3, 1, 1));
+  const std::string doc = tuned.dump();
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"in_c\": 2", "\"in_c\": -2"},
+           {"\"in_c\": 2", "\"in_c\": 2.5"},
+           {"\"out_c\": 3", "\"out_c\": 1e999"},
+           {"\"pad_h\": 1", "\"pad_h\": 18446744073709551616"},
+           {"\"batch\": 1", "\"batch\": -1e300"}}) {
+    std::string variant = doc;
+    const auto pos = variant.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    variant.replace(pos, from.size(), to);
+    {
+      std::ofstream f(path);
+      f << variant;
+    }
+    EXPECT_THROW(cache.load(path), IoError) << to;
+    EXPECT_THROW(cache.load_document(variant, "test"), IoError) << to;
+    EXPECT_EQ(cache.size(), 0u) << to;
+  }
   std::remove(path.c_str());
 }
 
@@ -769,6 +764,22 @@ TEST(PlanCachePersistence, WrongFormatVersionAndHardwareAreRejected) {
       "\"version\": 999");
   EXPECT_THROW(fresh.load(path), IoError);
   write_variant("\"threads\": ", "\"threads\": 9999");
+  EXPECT_THROW(fresh.load(path), IoError);
+  // A v3 document, whose entries still carry the removed execution-mode
+  // flag, is re-tuned from scratch rather than merged.
+  {
+    std::string v3 = text;
+    const std::string version =
+        "\"version\": " + std::to_string(gemm::kConvPlanCacheVersion);
+    const auto vpos = v3.find(version);
+    ASSERT_NE(vpos, std::string::npos);
+    v3.replace(vpos, version.size(), "\"version\": 3");
+    const auto bpos = v3.find("\"batch\": ");
+    ASSERT_NE(bpos, std::string::npos);
+    v3.insert(bpos, "\"parallel_ok\": true, ");
+    std::ofstream out(path);
+    out << v3;
+  }
   EXPECT_THROW(fresh.load(path), IoError);
   EXPECT_EQ(fresh.size(), 0u);
 
@@ -806,18 +817,6 @@ TEST(PlanCachePersistence, MismatchedIsaSignatureIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(Autotune, FftRacesInBackwardPhases) {
-  // The spectral adjoints must actually enter the per-phase benchmark
-  // race, not just pass the applicability filter.
-  const gemm::ConvProblem p = make_problem(2, 2, 8, 3, 1, 1);
-  for (const ConvPhase phase :
-       {ConvPhase::kBackwardData, ConvPhase::kBackwardFilter}) {
-    const double us = gemm::benchmark_backend(
-        gemm::backend(ConvBackendKind::kFft), p, fast_tune(), phase);
-    EXPECT_GT(us, 0.0);
-  }
-}
-
 // ---- Conv2d dispatch -------------------------------------------------------
 
 nn::Conv2dConfig conv_config(std::size_t in_c, std::size_t out_c,
@@ -853,8 +852,8 @@ TEST(Conv2dDispatch, EveryForcedBackendMatchesIm2colThroughSequential) {
 
   nn::Sequential reference = build(nn::ConvAlgo::kIm2col);
   const Tensor& ref_out = reference.forward(input);
-  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kFft,
-                    nn::ConvAlgo::kDirect, nn::ConvAlgo::kAuto}) {
+  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kDirect,
+                    nn::ConvAlgo::kAuto}) {
     nn::Sequential net = build(algo);
     const Tensor& out = net.forward(input);
     ASSERT_EQ(out.shape(), ref_out.shape());
@@ -879,7 +878,6 @@ TEST(Conv2dDispatch, ForcedBackendsReportThemselvesEveryPhase) {
        ConvBackendKind::kIm2col},
       {nn::ConvAlgo::kWinograd, ConvBackendKind::kWinograd,
        ConvBackendKind::kWinograd},
-      {nn::ConvAlgo::kFft, ConvBackendKind::kFft, ConvBackendKind::kFft},
       {nn::ConvAlgo::kDirect, ConvBackendKind::kDirect,
        ConvBackendKind::kDirect},
   };
@@ -889,8 +887,8 @@ TEST(Conv2dDispatch, ForcedBackendsReportThemselvesEveryPhase) {
     EXPECT_EQ(conv.forward_backend(in_shape), c.kind);
     conv.forward(input, out);
     EXPECT_EQ(conv.last_forward_backend(), c.kind);
-    // Backward dispatches per phase; every forced backend — FFT's
-    // spectral adjoints included — now covers both gradient phases.
+    // Backward dispatches per phase; every forced backend covers both
+    // gradient phases.
     EXPECT_EQ(conv.backward_backend(in_shape, ConvPhase::kBackwardData),
               c.backward_kind);
     EXPECT_EQ(conv.backward_backend(in_shape, ConvPhase::kBackwardFilter),
@@ -1046,7 +1044,7 @@ void serial_image_grad(const gemm::ConvBackend& be, const gemm::ConvProblem& p,
                        const float* image, const float* dout,
                        const float* bias_src, std::size_t bias_c,
                        std::size_t plane, float* dw, float* db) {
-  be.backward_filter(p, image, dout, dw, /*parallel_ok=*/false);
+  be.backward_filter(p, image, dout, dw);
   for (std::size_t oc = 0; oc < bias_c; ++oc) {
     double s = 0.0;
     for (std::size_t i = 0; i < plane; ++i) s += bias_src[oc * plane + i];
@@ -1264,20 +1262,6 @@ TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
   for (std::size_t i = 0; i < out.numel(); ++i) {
     ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f) << "element " << i;
   }
-  // FFT now carries a spectral backward-data, so a forced FFT deconv
-  // forward stays spectral — and must agree with the im2col adjoint.
-  nn::Deconv2d fft = build(nn::ConvAlgo::kFft);
-  EXPECT_EQ(fft.phase_backend(in_shape, ConvPhase::kBackwardData),
-            ConvBackendKind::kFft);
-  EXPECT_EQ(fft.phase_backend(in_shape, ConvPhase::kForward),
-            ConvBackendKind::kFft);
-  Tensor fft_out;
-  fft.forward(input, fft_out);
-  ASSERT_EQ(fft_out.shape(), ref_out.shape());
-  for (std::size_t i = 0; i < fft_out.numel(); ++i) {
-    ASSERT_NEAR(fft_out.data()[i], ref_out.data()[i], 1e-4f)
-        << "element " << i;
-  }
 }
 
 TEST(Deconv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
@@ -1344,20 +1328,16 @@ TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
   ASSERT_EQ(space.size(), 1u);
   const auto& dim = space.dimensions()[0];
   EXPECT_EQ(dim.name, tune::kConvBackendDim);
-  // 3x3 stride-1: im2col, winograd, direct always; fft only if it clears
-  // the flops cutoff.
-  EXPECT_GE(dim.choices.size(), 3u);
+  // 3x3 stride-1: im2col, winograd and direct.
+  EXPECT_EQ(dim.choices.size(), 3u);
   for (double choice : dim.choices) {
     tune::Config config{{tune::kConvBackendDim, choice}};
     EXPECT_TRUE(gemm::backend(tune::decode_backend(config)).applicable(p));
   }
-  // Backward space never encodes FFT.
-  const tune::Space bwd_space = tune::conv_backend_space(
-      p, gemm::AutotuneOptions{}, ConvPhase::kBackwardFilter);
-  for (double choice : bwd_space.dimensions()[0].choices) {
-    tune::Config config{{tune::kConvBackendDim, choice}};
-    EXPECT_NE(tune::decode_backend(config), ConvBackendKind::kFft);
-  }
+  // Codes past the last registered backend are rejected.
+  PF15_EXPECT_CHECK_FAIL(
+      tune::decode_backend(tune::Config{{tune::kConvBackendDim, 3.0}}),
+      "out of range");
 }
 
 TEST(ConvSpace, GridSearchFindsWinnerAndInstallsPlanPerPhase) {
@@ -1372,7 +1352,7 @@ TEST(ConvSpace, GridSearchFindsWinnerAndInstallsPlanPerPhase) {
     EXPECT_EQ(cache.lookup(p, phase)->kind, plan.kind);
   }
   // insert() pins one override per phase; each override covers every
-  // execution mode and batch bucket of its (problem, phase).
+  // batch bucket of its (problem, phase).
   EXPECT_EQ(cache.size(), 3u);
 }
 

@@ -713,13 +713,11 @@ TEST(CompiledPlan, ParallelExecutorMatchesSerialBitExactClimate) {
   }
 }
 
-/// Minimal extension layer for the opaque-node scheduling tests:
-/// out = k * in, no shared state, so joining a wide level is safe when
-/// (and only when) it says so via parallel_ok().
+/// Minimal extension layer for the opaque-node scheduling test:
+/// out = k * in.
 class ScaleLayer final : public nn::Layer {
  public:
-  ScaleLayer(std::string name, float k, bool parallel)
-      : name_(std::move(name)), k_(k), parallel_(parallel) {}
+  ScaleLayer(std::string name, float k) : name_(std::move(name)), k_(k) {}
   const std::string& name() const override { return name_; }
   std::string kind() const override { return "scale_test"; }
   Shape output_shape(const Shape& in) const override { return in; }
@@ -736,56 +734,49 @@ class ScaleLayer final : public nn::Layer {
     return in.numel();
   }
   std::uint64_t backward_flops(const Shape&) const override { return 0; }
-  bool parallel_ok() const override { return parallel_; }
 
  private:
   std::string name_;
   float k_;
-  bool parallel_;
 };
 
-TEST(CompiledPlan, OpaqueLayerJoinsWideLevelOnlyWhenItOptsIn) {
+TEST(CompiledPlan, OpaqueNodesRunSeriallyWithIdenticalResults) {
   // Hand-built fan-out: input -> split -> (opaque scale, relu) -> add.
-  // The opaque node shares a level with the relu; whether it *schedules*
-  // into the wide level is gated on Layer::parallel_ok(), visible in
-  // report().wide_level_nodes (2 when it opts in; 0 when it does not,
-  // because the relu alone is no longer a wide level). Results must be
-  // identical either way.
+  // The opaque node shares a level with the relu but always runs
+  // serially, so report().wide_level_nodes is 0 (the relu alone is no
+  // wide level), and the output is 3x + relu(x) as computed eagerly.
   const Shape sample{2, 6, 6};
-  for (const bool opts_in : {false, true}) {
-    ScaleLayer scale("s", 3.0f, opts_in);
-    graph::Graph g;
-    g.input_sample = sample;
-    auto make = [&](graph::OpKind kind, const char* name,
-                    std::vector<int> inputs) {
-      graph::OpNode node;
-      node.kind = kind;
-      node.name = name;
-      node.inputs = std::move(inputs);
-      node.in_sample = node.out_sample = sample;
-      g.nodes.push_back(std::move(node));
-      return static_cast<int>(g.nodes.size() - 1);
-    };
-    const int split =
-        make(graph::OpKind::kSplit, "split", {graph::OpNode::kGraphInput});
-    const int b = make(graph::OpKind::kOpaque, "scale", {split});
-    g.nodes[static_cast<std::size_t>(b)].layer = &scale;
-    const int c = make(graph::OpKind::kRelu, "relu", {split});
-    const int join = make(graph::OpKind::kAdd, "join", {b, c});
-    g.outputs.push_back(join);
+  ScaleLayer scale("s", 3.0f);
+  graph::Graph g;
+  g.input_sample = sample;
+  auto make = [&](graph::OpKind kind, const char* name,
+                  std::vector<int> inputs) {
+    graph::OpNode node;
+    node.kind = kind;
+    node.name = name;
+    node.inputs = std::move(inputs);
+    node.in_sample = node.out_sample = sample;
+    g.nodes.push_back(std::move(node));
+    return static_cast<int>(g.nodes.size() - 1);
+  };
+  const int split =
+      make(graph::OpKind::kSplit, "split", {graph::OpNode::kGraphInput});
+  const int b = make(graph::OpKind::kOpaque, "scale", {split});
+  g.nodes[static_cast<std::size_t>(b)].layer = &scale;
+  const int c = make(graph::OpKind::kRelu, "relu", {split});
+  const int join = make(graph::OpKind::kAdd, "join", {b, c});
+  g.outputs.push_back(join);
 
-    graph::CompileOptions opt;
-    opt.max_batch = 2;
-    graph::CompiledPlan plan(std::move(g), opt);
-    EXPECT_EQ(plan.report().wide_level_nodes, opts_in ? 2u : 0u)
-        << "opts_in=" << opts_in;
-    const Tensor input = random_input(with_batch(sample, 2), 0x0a9);
-    const Tensor& got = plan.run(input);
-    for (std::size_t i = 0; i < got.numel(); ++i) {
-      const float x = input.at(i);
-      const float want = 3.0f * x + (x > 0.0f ? x : 0.0f);
-      ASSERT_NEAR(got.at(i), want, 1e-6f) << "element " << i;
-    }
+  graph::CompileOptions opt;
+  opt.max_batch = 2;
+  graph::CompiledPlan plan(std::move(g), opt);
+  EXPECT_EQ(plan.report().wide_level_nodes, 0u);
+  const Tensor input = random_input(with_batch(sample, 2), 0x0a9);
+  const Tensor& got = plan.run(input);
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    const float x = input.at(i);
+    const float want = 3.0f * x + (x > 0.0f ? x : 0.0f);
+    ASSERT_NEAR(got.at(i), want, 1e-6f) << "element " << i;
   }
 }
 

@@ -80,6 +80,24 @@ TEST(TaskScheduler, SingleWorkerStillCompletesNestedWork) {
   EXPECT_EQ(leaf.load(), 16);
 }
 
+TEST(TaskScheduler, CrossSchedulerParallelForIsAllowed) {
+  // A task of scheduler A may fan out on scheduler B: waiting helps on
+  // the waited scheduler. This is how a plan compiled with a private
+  // CompileOptions::scheduler composes with conv backends that fan out
+  // on the global one.
+  TaskScheduler a(2);
+  TaskScheduler b(2);
+  std::atomic<int> sum{0};
+  TaskSync sync;
+  a.spawn(sync, [&] {
+    b.parallel_for(0, 10, [&](std::size_t i) {
+      sum += static_cast<int>(i);
+    });
+  });
+  a.wait(sync);
+  EXPECT_EQ(sum.load(), 45);
+}
+
 TEST(TaskScheduler, CurrentThreadInSchedulerIdentifiesWorkers) {
   TaskScheduler sched(2);
   EXPECT_FALSE(sched.current_thread_in_scheduler());
