@@ -102,9 +102,6 @@ int main(int argc, char** argv) {
   bool require_warm = false;
   gemm::AutotuneOptions opt;
   opt.reps = 3;
-  // Tighter than the autotune default: candidates the cost model already
-  // puts 3x behind im2col never win here.
-  opt.flops_cutoff = 3.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -183,10 +180,9 @@ int main(int argc, char** argv) {
 
       if (!no_sweep) {
         perf::Json backends = perf::Json::array();
-        // candidate_backends applies the same analytic cutoff autotune
-        // does.
+        // The same candidates autotune races.
         for (const gemm::ConvBackend* b :
-             gemm::candidate_backends(np.problem, opt, phase)) {
+             gemm::applicable_backends(np.problem, phase)) {
           perf::Json entry = perf::Json::object();
           entry.set("backend", b->name());
           const double b_flops =

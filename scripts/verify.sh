@@ -3,8 +3,9 @@
 # Single entry point shared by developers and CI.
 #
 # The build turns warnings into errors for the kernel (src/gemm), layer
-# (src/nn), tuning (src/tune), graph-compiler (src/graph), serving
-# (src/serve) and observability (src/obs) subsystems. The
+# (src/nn), graph-compiler (src/graph), serving (src/serve) and
+# observability (src/obs) subsystems. The default lane prints the src/
+# line count (*.cpp + *.hpp) that the ROADMAP tracks. The
 # convolution backend sweep records the perf trajectory of the hottest
 # path — forward AND backward, per-image and batched — into
 # BENCH_conv_backends.json at the repo root (diff it PR over PR), then a
@@ -119,6 +120,7 @@ fi
 cmake -B build -S . -DPF15_WERROR=ON
 cmake --build build -j"$jobs"
 (cd build && ctest --output-on-failure -j"$jobs")
+echo "src/ lines (*.cpp + *.hpp): $(find src \( -name '*.cpp' -o -name '*.hpp' \) -exec cat {} + | wc -l)"
 
 # SIMD kernel gate (exit 12), four assertions in three processes:
 #   1. on the 1024-class GEMM shapes the AVX2 tier beats the scalar tier

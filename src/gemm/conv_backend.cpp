@@ -531,28 +531,6 @@ std::vector<const ConvBackend*> applicable_backends(const ConvProblem& p,
   return out;
 }
 
-std::vector<const ConvBackend*> candidate_backends(
-    const ConvProblem& p, const AutotuneOptions& opt, ConvPhase phase) {
-  const double ref_flops = static_cast<double>(
-      backend(ConvBackendKind::kIm2col).flops(p, phase));
-  std::vector<const ConvBackend*> out;
-  for (const ConvBackend* b : applicable_backends(p, phase)) {
-    // Reject hopeless candidates on the analytic cost model alone, before
-    // they cost a timed run. The direct backend's flops
-    // equal im2col's, so it is never rejected — intentional: on this
-    // code's scalar SGEMM it *wins* big geometries outright (e.g. the
-    // 512->768 5x5 climate encoder stage measured), and timing it costs
-    // the same order as timing im2col.
-    if (b->kind() != ConvBackendKind::kIm2col &&
-        static_cast<double>(b->flops(p, phase)) >
-            opt.flops_cutoff * ref_flops) {
-      continue;
-    }
-    out.push_back(b);
-  }
-  return out;
-}
-
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
                          const AutotuneOptions& opt, ConvPhase phase) {
   PF15_CHECK_MSG(b.applicable(p, phase),
@@ -622,7 +600,7 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
   plan.im2col_us = benchmark_backend(reference, p, opt, phase);
   plan.kind = ConvBackendKind::kIm2col;
   plan.best_us = plan.im2col_us;
-  for (const ConvBackend* b : candidate_backends(p, opt, phase)) {
+  for (const ConvBackend* b : applicable_backends(p, phase)) {
     if (b->kind() == ConvBackendKind::kIm2col) continue;
     const double us = benchmark_backend(*b, p, opt, phase);
     if (us < plan.best_us) {

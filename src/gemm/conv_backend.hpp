@@ -10,7 +10,7 @@
 // process-wide table, and a plan cache micro-benchmarks the applicable
 // backends the first time a (problem, phase) is seen, remembering the
 // winner. Layers ask for a plan per phase instead of hardcoding a
-// lowering; benches and the tune::Space integration sweep the same table.
+// lowering; the sweep bench races the same table.
 //
 // Three backends are registered: im2col+GEMM, Winograd F(2x2/4x4,3x3)
 // and direct loops. Each exposes four entry points — prepare (weight-only
@@ -44,8 +44,8 @@
 namespace pf15::gemm {
 
 /// Identity of a convolution algorithm in the dispatch table. Values index
-/// all_backends() and encode tune::Space choices; plan-cache files and
-/// perf records store the names (to_string).
+/// all_backends(); plan-cache files and perf records store the names
+/// (to_string).
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
@@ -170,17 +170,6 @@ const std::vector<const ConvBackend*>& all_backends();
 std::vector<const ConvBackend*> applicable_backends(
     const ConvProblem& p, ConvPhase phase = ConvPhase::kForward);
 
-struct AutotuneOptions;
-
-/// The candidates autotune() actually races for `p` in `phase`:
-/// applicable_backends minus those the analytic flops cutoff rejects
-/// (im2col itself is never rejected). The tune::Space adapter and the
-/// sweep bench share this, so every consumer sees the same candidate
-/// policy.
-std::vector<const ConvBackend*> candidate_backends(
-    const ConvProblem& p, const AutotuneOptions& opt,
-    ConvPhase phase = ConvPhase::kForward);
-
 /// Knobs of the first-sight micro-benchmark.
 struct AutotuneOptions {
   std::size_t warmup = 1;  // untimed runs per candidate
@@ -189,10 +178,6 @@ struct AutotuneOptions {
   /// with the problem geometry and phase so every problem sees the same
   /// data across runs (deterministic tuning inputs).
   std::uint64_t seed = 0x9f15c0deULL;
-  /// Candidates whose analytic FLOPs exceed this multiple of im2col's are
-  /// rejected without timing, so a first-touch pass never burns seconds
-  /// on a hopeless algorithm.
-  double flops_cutoff = 8.0;
 };
 
 /// Measured per-image wall microseconds of `b` on `p` in `phase` (min
@@ -211,10 +196,9 @@ struct ConvPlan {
   bool tuned = false;      // true: micro-benchmarked; false: forced/default
 };
 
-/// Races every applicable (and cutoff-surviving) backend on `p` in the
-/// given phase and returns the fastest. im2col is always among the
-/// candidates, so the winner is never slower than the reference as
-/// measured.
+/// Races every applicable backend on `p` in the given phase and returns
+/// the fastest. im2col is always among the candidates, so the winner is
+/// never slower than the reference as measured.
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
                   ConvPhase phase = ConvPhase::kForward);
 
@@ -236,9 +220,9 @@ std::size_t conv_batch_bucket(std::size_t n);
 /// (ConvProblem, phase, batch bucket). Thread safe; the
 /// first thread to see a key pays the tuning cost *outside* the cache
 /// lock (an in-flight set dedupes concurrent first sights), so hits never
-/// wait behind a miss being tuned. insert() lets callers (tests, the
-/// tune::Space driver, operators forcing a layout) override a plan — the
-/// override applies to every batch bucket of its (problem, phase).
+/// wait behind a miss being tuned. insert() lets callers (tests,
+/// operators forcing a layout) override a plan — the override applies to
+/// every batch bucket of its (problem, phase).
 ///
 /// save()/load() give the cache a versioned on-disk JSON format whose
 /// header records the format name, kConvPlanCacheVersion and a hardware

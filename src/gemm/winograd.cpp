@@ -513,8 +513,8 @@ void winograd_backward_filter3x3(const float* image, std::size_t in_c,
 namespace {
 
 // The cost models share the exact tile grid and position count the
-// kernels run with (Traits<M>/tile_grid<M>), so the autotune flops
-// cutoff can never drift from the implementation.
+// kernels run with (Traits<M>/tile_grid<M>), so the analytic FLOP
+// counts can never drift from the implementation.
 template <int M>
 std::uint64_t wino_forward_flops(std::size_t in_c, std::size_t out_c,
                                  std::size_t h, std::size_t w,

@@ -1,10 +1,9 @@
 // Inverted dropout.
 //
 // Not used by the paper's two production networks (they are small and
-// train on effectively unlimited simulated data), but standard equipment
-// for the ResNet/LSTM extensions of §IX and for the regularisation
-// ablations. Inverted scaling (kept activations divided by keep-prob)
-// makes inference a no-op.
+// train on effectively unlimited simulated data); the graph compiler
+// strips it from captured inference graphs. Inverted scaling (kept
+// activations divided by keep-prob) makes inference a no-op.
 #pragma once
 
 #include <string>

@@ -3,8 +3,8 @@
 // reference on randomized geometries (forward, backward-data,
 // backward-filter), the autotune plan cache (per-phase memoing, overrides,
 // on-disk persistence round-trip and header rejection), Conv2d and
-// Deconv2d dispatch through the shared table, the batch-parallel paths,
-// Winograd tile selection, and the tune::Space adapter.
+// Deconv2d dispatch through the shared table, the batch-parallel paths
+// and Winograd tile selection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/deconv2d.hpp"
 #include "nn/network.hpp"
-#include "tune/conv_space.hpp"
 
 namespace pf15 {
 namespace {
@@ -1318,42 +1317,6 @@ TEST(Deconv2dDispatch, Stride1WinogradPathGradientCheck) {
   Tensor input(Shape{2, 2, 6, 6});
   input.fill_uniform(rng, -1.0f, 1.0f);
   testing::check_layer_gradients(deconv, input);
-}
-
-// ---- tune::Space adapter ---------------------------------------------------
-
-TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
-  const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
-  const tune::Space space = tune::conv_backend_space(p);
-  ASSERT_EQ(space.size(), 1u);
-  const auto& dim = space.dimensions()[0];
-  EXPECT_EQ(dim.name, tune::kConvBackendDim);
-  // 3x3 stride-1: im2col, winograd and direct.
-  EXPECT_EQ(dim.choices.size(), 3u);
-  for (double choice : dim.choices) {
-    tune::Config config{{tune::kConvBackendDim, choice}};
-    EXPECT_TRUE(gemm::backend(tune::decode_backend(config)).applicable(p));
-  }
-  // Codes past the last registered backend are rejected.
-  PF15_EXPECT_CHECK_FAIL(
-      tune::decode_backend(tune::Config{{tune::kConvBackendDim, 3.0}}),
-      "out of range");
-}
-
-TEST(ConvSpace, GridSearchFindsWinnerAndInstallsPlanPerPhase) {
-  const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
-  gemm::ConvPlanCache cache(fast_tune());
-  for (const ConvPhase phase : gemm::kAllConvPhases) {
-    const gemm::ConvPlan plan =
-        tune::tune_conv_backend(p, cache, fast_tune(), phase);
-    EXPECT_TRUE(plan.tuned);
-    EXPECT_LE(plan.best_us, plan.im2col_us);
-    ASSERT_TRUE(cache.lookup(p, phase).has_value());
-    EXPECT_EQ(cache.lookup(p, phase)->kind, plan.kind);
-  }
-  // insert() pins one override per phase; each override covers every
-  // batch bucket of its (problem, phase).
-  EXPECT_EQ(cache.size(), 3u);
 }
 
 }  // namespace
